@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooLargeForExact, VanishingPrecondition
+from .graph import label_components
 from .validation import as_vertex_array
 
 EXACT_COMPONENT_LIMIT = 20
@@ -30,11 +31,19 @@ class CutReport:
     exact: bool
 
 
-def _kept_component_sizes(graph, removed_mask):
-    labels, n_lab = graph.subgraph_components(~removed_mask)
-    if n_lab == 0:
-        return np.zeros(0, dtype=np.int64), labels
-    return np.bincount(labels[labels >= 0], minlength=n_lab), labels
+def _piece_sizes(n, edges, keep=None):
+    """Vertex count of each piece, and the per-vertex piece labels."""
+    labels, count = label_components(n, edges, keep)
+    return np.bincount(labels[labels >= 0], minlength=count), labels
+
+
+def _edge_cut_sizes(graph, H):
+    """Piece sizes left after deleting the edges H, given in either orientation."""
+    n = graph.vertex_count
+    edges = graph.edges()
+    cut = np.sort(np.asarray(H, dtype=np.int64).reshape(-1, 2), axis=1)
+    kept = ~np.isin(edges[:, 0] * n + edges[:, 1], cut[:, 0] * n + cut[:, 1])
+    return _piece_sizes(n, edges[kept])[0]
 
 
 def is_K_finitizing_vertex_cut(graph, V, K):
@@ -44,7 +53,7 @@ def is_K_finitizing_vertex_cut(graph, V, K):
     removed = np.zeros(graph.vertex_count, dtype=bool)
     V = as_vertex_array(V, graph.vertex_count)
     removed[V] = True
-    sizes, _ = _kept_component_sizes(graph, removed)
+    sizes, _ = _piece_sizes(graph.vertex_count, graph.edges(), ~removed)
     return bool(sizes.size == 0 or sizes.max() <= K)
 
 
@@ -52,24 +61,7 @@ def is_K_finitizing_edge_cut(graph, H, K):
     """True iff deleting the edges H leaves only components of at most K vertices."""
     if K < 1:
         raise ValueError("K must be at least 1")
-    cut = {(min(u, v), max(u, v)) for u, v in H}
-    labels = np.full(graph.vertex_count, -1, dtype=np.int64)
-    nxt = 0
-    for start in range(graph.vertex_count):
-        if labels[start] != -1:
-            continue
-        labels[start] = nxt
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in graph.neighbors(v):
-                e = (min(v, int(u)), max(v, int(u)))
-                if e in cut or labels[u] != -1:
-                    continue
-                labels[u] = nxt
-                stack.append(int(u))
-        nxt += 1
-    sizes = np.bincount(labels, minlength=nxt)
+    sizes = _edge_cut_sizes(graph, H)
     return bool(sizes.size == 0 or sizes.max() <= K)
 
 
@@ -156,9 +148,8 @@ def _greedy_vertex_cut_component(graph, members, weight, K):
     while True:
         keep_mask = np.zeros(graph.vertex_count, dtype=bool)
         keep_mask[list(members)] = True
-        labels, n_lab = graph.subgraph_components(keep_mask)
-        sizes = np.bincount(labels[labels >= 0], minlength=n_lab) if n_lab else np.zeros(0, dtype=int)
-        over = [c for c in range(n_lab) if sizes[c] > K]
+        sizes, labels = _piece_sizes(graph.vertex_count, graph.edges(), keep_mask)
+        over = [c for c in range(len(sizes)) if sizes[c] > K]
         if not over:
             return cut
         target = max(over, key=lambda c: sizes[c])
@@ -167,8 +158,7 @@ def _greedy_vertex_cut_component(graph, members, weight, K):
         for v in sorted(piece):
             mask2 = keep_mask.copy()
             mask2[v] = False
-            labels2, n2 = graph.subgraph_components(mask2)
-            s2 = np.bincount(labels2[labels2 >= 0], minlength=n2) if n2 else np.zeros(0, dtype=int)
+            s2, labels2 = _piece_sizes(graph.vertex_count, graph.edges(), mask2)
             local = [s2[labels2[u]] for u in piece if u != v]
             key = (max(local) if local else 0, float(weight[v]), v)
             if best is None or key < best[0]:
@@ -186,8 +176,7 @@ def _local_vertex_cut_component(graph, members, weight, K):
         trial = cut_set - {v}
         keep_mask = np.zeros(graph.vertex_count, dtype=bool)
         keep_mask[list(set(int(u) for u in members) - trial)] = True
-        labels, n_lab = graph.subgraph_components(keep_mask)
-        sizes = np.bincount(labels[labels >= 0], minlength=n_lab) if n_lab else np.zeros(0, dtype=int)
+        sizes, _ = _piece_sizes(graph.vertex_count, graph.edges(), keep_mask)
         if sizes.size == 0 or sizes.max() <= K:
             cut_set = trial
     return sorted(cut_set)
@@ -224,7 +213,7 @@ def vertex_price(graph, mu, K, method="exact", cocycle=None):
     cut = sorted(cut)
     removed = np.zeros(graph.vertex_count, dtype=bool)
     removed[cut] = True
-    sizes, labels = _kept_component_sizes(graph, removed)
+    sizes, labels = _piece_sizes(graph.vertex_count, graph.edges(), ~removed)
     largest = int(sizes.max()) if sizes.size else 0
     largest_ratio = None
     if cocycle is not None and sizes.size:
@@ -319,73 +308,28 @@ def _exact_edge_cut_component(graph, members, nu, K):
 
 
 def _greedy_edge_cut_component(graph, members, nu, K):
-    members = set(int(v) for v in members)
-    alive = {
-        (int(u), int(v))
-        for u, v in graph.edges()
-        if int(u) in members and int(v) in members
-    }
+    """Upper bound: repeatedly cut the edge of the largest oversized piece that
+    leaves its largest remaining piece smallest."""
+    n = graph.vertex_count
+    inside = np.zeros(n, dtype=bool)
+    inside[members] = True
+    alive = graph.edges()
+    alive = alive[inside[alive[:, 0]] & inside[alive[:, 1]]]
     cut = []
     while True:
-        labels = {v: None for v in members}
-        nxt = 0
-        adj = {v: [] for v in members}
-        for u, v in alive:
-            adj[u].append(v)
-            adj[v].append(u)
-        for s in sorted(members):
-            if labels[s] is not None:
-                continue
-            labels[s] = nxt
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for u in adj[v]:
-                    if labels[u] is None:
-                        labels[u] = nxt
-                        stack.append(u)
-            nxt += 1
-        sizes = [0] * nxt
-        for v in members:
-            sizes[labels[v]] += 1
-        over = [c for c in range(nxt) if sizes[c] > K]
-        if not over:
+        sizes, labels = _piece_sizes(n, alive, inside)
+        if sizes.max() <= K:
             return cut
-        target = max(over, key=lambda c: sizes[c])
-        candidates = [e for e in alive if labels[e[0]] == target]
+        piece = labels == int(np.argmax(sizes))
         best = None
-        for e in sorted(candidates):
-            trial = alive - {e}
-            piece = [v for v in members if labels[v] == target]
-            sub_labels = {v: None for v in piece}
-            adj2 = {v: [] for v in piece}
-            for a, b in trial:
-                if a in sub_labels and b in sub_labels:
-                    adj2[a].append(b)
-                    adj2[b].append(a)
-            worst = 0
-            k = 0
-            for s in piece:
-                if sub_labels[s] is not None:
-                    continue
-                count = 1
-                sub_labels[s] = k
-                stack = [s]
-                while stack:
-                    v = stack.pop()
-                    for u in adj2[v]:
-                        if sub_labels[u] is None:
-                            sub_labels[u] = k
-                            count += 1
-                            stack.append(u)
-                worst = max(worst, count)
-                k += 1
+        for i in np.flatnonzero(piece[alive[:, 0]]):
+            e = (int(alive[i, 0]), int(alive[i, 1]))
+            worst = int(_piece_sizes(n, np.delete(alive, i, axis=0), piece)[0].max())
             key = (worst, nu.get(e, 0.0), e)
             if best is None or key < best[0]:
-                best = (key, e)
-        e = best[1]
-        alive.discard(e)
-        cut.append(e)
+                best = (key, i)
+        cut.append(best[0][2])
+        alive = np.delete(alive, best[1], axis=0)
 
 
 def edge_price(graph, nu=None, K=1, method="exact", mu=None):
@@ -419,28 +363,9 @@ def edge_price(graph, nu=None, K=1, method="exact", mu=None):
 
     cut = sorted(set(cut))
     price = sum(nu.get(e, 0.0) for e in cut)
-    ok = is_K_finitizing_edge_cut(graph, cut, K)
-    if not ok:
+    sizes = _edge_cut_sizes(graph, cut)
+    if sizes.size and sizes.max() > K:
         raise RuntimeError("internal: produced edge set is not a valid cut")
-    # component stats after deletion
-    labels = np.full(graph.vertex_count, -1, dtype=np.int64)
-    nxt = 0
-    cut_set = set(cut)
-    for start in range(graph.vertex_count):
-        if labels[start] != -1:
-            continue
-        labels[start] = nxt
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in graph.neighbors(v):
-                e = (min(v, int(u)), max(v, int(u)))
-                if e in cut_set or labels[u] != -1:
-                    continue
-                labels[u] = nxt
-                stack.append(int(u))
-        nxt += 1
-    sizes = np.bincount(labels, minlength=nxt) if nxt else np.zeros(0, dtype=int)
     return CutReport(
         mode="edge",
         method=method,

@@ -37,11 +37,6 @@ class WeightedGraph:
         return int(self.indptr[v + 1] - self.indptr[v])
 
     @property
-    def adjacency(self):
-        """Per-vertex sorted neighbor lists (views into the CSR arrays)."""
-        return [self.neighbors(v) for v in range(self.vertex_count)]
-
-    @property
     def edge_count(self):
         return len(self._edges)
 
@@ -59,26 +54,43 @@ class WeightedGraph:
     def components(self):
         return [self.component_members(c) for c in range(self.component_count)]
 
-    def subgraph_components(self, keep_mask):
-        """Component label per vertex of the induced subgraph on keep_mask.
 
-        Vertices outside the mask get label -1.
-        """
-        labels = np.full(self.vertex_count, -1, dtype=np.int64)
-        next_label = 0
-        for start in np.flatnonzero(keep_mask):
-            if labels[start] != -1:
-                continue
-            labels[start] = next_label
-            stack = [int(start)]
-            while stack:
-                v = stack.pop()
-                for u in self.neighbors(v):
-                    if keep_mask[u] and labels[u] == -1:
-                        labels[u] = next_label
-                        stack.append(int(u))
-            next_label += 1
-        return labels, next_label
+def label_components(n, edges, keep=None):
+    """Connected pieces of the graph on vertices 0..n-1 with the given edges.
+
+    Returns (labels, count). Pieces are numbered in the order of their
+    smallest vertices. With a boolean mask keep, only the subgraph induced on
+    the kept vertices is labelled; edges touching other vertices are ignored
+    and those vertices get label -1.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if keep is not None:
+        keep = np.asarray(keep, dtype=bool)
+        edges = edges[keep[edges[:, 0]] & keep[edges[:, 1]]]
+        local = np.cumsum(keep) - 1
+        inner, count = label_components(int(np.count_nonzero(keep)), local[edges])
+        labels = np.full(n, -1, dtype=np.int64)
+        labels[keep] = inner
+        return labels, count
+    # Hook each root onto the smallest root across its edges, then point every
+    # vertex straight at its root; roots only move down, so each piece ends
+    # rooted at its smallest vertex. Edges inside one piece are dropped.
+    root = np.arange(n)
+    u, v = edges[:, 0], edges[:, 1]
+    while u.size:
+        ru, rv = root[u], root[v]
+        split = ru != rv
+        u, v, ru, rv = u[split], v[split], ru[split], rv[split]
+        if not u.size:
+            break
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    heads = root == np.arange(n)
+    return (np.cumsum(heads) - 1)[root], int(np.count_nonzero(heads))
 
 
 @dataclass(frozen=True)
@@ -116,13 +128,9 @@ class Cocycle:
         np.maximum.at(comp_max, graph.component_id, lw)
         return np.exp(lw - comp_max[graph.component_id])
 
-    def fraction_weights(self):
-        """Weights as exact rationals (floats are dyadic rationals)."""
-        return [Fraction(math.exp(v)) for v in self.log_weight]
-
 
 def build_graph(edges, log_weights):
-    """Build a simple symmetric graph with BFS component labels.
+    """Build a simple symmetric graph with its component labels.
 
     Rejects self-loops, duplicate edges (in either orientation), endpoints out
     of range, and non-finite weights.
@@ -159,21 +167,7 @@ def build_graph(edges, log_weights):
         indptr = np.zeros(n + 1, dtype=np.int64)
         indices = np.empty(0, dtype=np.int64)
 
-    component_id = np.full(n, -1, dtype=np.int64)
-    label = 0
-    for start in range(n):
-        if component_id[start] != -1:
-            continue
-        component_id[start] = label
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in indices[indptr[v]:indptr[v + 1]]:
-                if component_id[u] == -1:
-                    component_id[u] = label
-                    stack.append(int(u))
-        label += 1
-
+    component_id, _ = label_components(n, earr)
     graph = WeightedGraph(n, indptr, indices, component_id, earr)
     return graph, Cocycle(lw)
 
@@ -197,17 +191,15 @@ def is_connected_set(graph, U):
     U = as_vertex_array(U, graph.vertex_count)
     if U.size <= 1:
         return True
-    in_u = np.zeros(graph.vertex_count, dtype=bool)
-    in_u[U] = True
-    seen = {int(U[0])}
-    stack = [int(U[0])]
-    while stack:
-        v = stack.pop()
-        for u in graph.neighbors(v):
-            if in_u[u] and int(u) not in seen:
-                seen.add(int(u))
-                stack.append(int(u))
-    return len(seen) == U.size
+    # gather the CSR rows of U only, so the cost is O(|U| + edges at U), not O(n)
+    lo, hi = graph.indptr[U], graph.indptr[U + 1]
+    degree = hi - lo
+    rows = np.repeat(lo - np.cumsum(degree) + degree, degree) + np.arange(degree.sum())
+    nbr = graph.indices[rows]
+    pos = np.searchsorted(U, nbr)
+    inside = U[np.minimum(pos, U.size - 1)] == nbr
+    src = np.repeat(np.arange(U.size), degree)
+    return label_components(U.size, np.stack([src[inside], pos[inside]], axis=1))[1] == 1
 
 
 def rho_max_ratio(graph, cocycle, U):
@@ -304,6 +296,23 @@ class QuotientResult:
     classes: tuple
 
 
+def class_means(cocycle, class_of, k, f, g=None):
+    """Weighted mean of f over each of the k classes, and each class's log-mass.
+
+    Every class is weighted relative to its own heaviest vertex, so no class
+    mass underflows however far apart the log-weights lie. With g, the mean
+    is sum(f w) / sum(g w): the mean of f/g under the g-rescaled weights.
+    """
+    lw = cocycle.log_weight
+    top = np.full(k, -np.inf)
+    np.maximum.at(top, class_of, lw)
+    w = np.exp(lw - top[class_of])
+    tot = np.bincount(class_of, weights=w, minlength=k)
+    num = np.bincount(class_of, weights=f * w, minlength=k)
+    den = tot if g is None else np.bincount(class_of, weights=g * w, minlength=k)
+    return num / den, top + np.log(tot)
+
+
 def quotient(graph, cocycle, values, relation):
     """Contract each class of the relation to a single vertex.
 
@@ -313,36 +322,22 @@ def quotient(graph, cocycle, values, relation):
     connected subgraph.
     """
     values = as_values_array(values, graph.vertex_count)
-    for cls in relation.classes:
-        if len(cls) > 1 and not is_connected_set(graph, cls):
-            raise DisconnectedClass(f"class with members {cls[:8].tolist()}... is not connected")
-
     class_of = relation.class_of
     k = len(relation.classes)
-    lw = cocycle.log_weight
-
-    cls_max = np.full(k, -np.inf)
-    np.maximum.at(cls_max, class_of, lw)
-    w = np.exp(lw - cls_max[class_of])
-    cls_tot = np.zeros(k)
-    np.add.at(cls_tot, class_of, w)
-    cls_fdot = np.zeros(k)
-    np.add.at(cls_fdot, class_of, values * w)
-    q_logw = cls_max + np.log(cls_tot)
-    q_vals = cls_fdot / cls_tot
-
     base_edges = graph.edges()
-    if len(base_edges):
-        qe = class_of[base_edges]
-        qe = qe[qe[:, 0] != qe[:, 1]]
-        lo = np.minimum(qe[:, 0], qe[:, 1])
-        hi = np.maximum(qe[:, 0], qe[:, 1])
-        out_edges = np.unique(np.stack([lo, hi], axis=1), axis=0) if len(qe) else np.empty((0, 2), dtype=np.int64)
-    else:
-        out_edges = np.empty((0, 2), dtype=np.int64)
 
+    # the intra-class edges split each class into its pieces: one piece per
+    # class iff every class is connected
+    ends = class_of[base_edges]
+    pieces, count = label_components(graph.vertex_count, base_edges[ends[:, 0] == ends[:, 1]])
+    if count != k:
+        first_members = np.unique(pieces, return_index=True)[1]
+        bad = relation.classes[np.flatnonzero(np.bincount(class_of[first_members], minlength=k) > 1)[0]]
+        raise DisconnectedClass(f"class with members {bad[:8].tolist()}... is not connected")
+
+    q_vals, q_logw = class_means(cocycle, class_of, k, values)
+    out_edges = np.unique(np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1), axis=0)
     qgraph, qcocycle = build_graph(out_edges, q_logw)
-    qcocycle = Cocycle(q_logw)
     return QuotientResult(
         graph=qgraph,
         cocycle=qcocycle,

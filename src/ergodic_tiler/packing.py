@@ -40,11 +40,8 @@ MAX_PASSES = 10_000
 
 
 class CellFamily:
-    """Deterministic membership oracle over vertex sets, with behavior flags."""
+    """Deterministic membership oracle over vertex sets."""
 
-    finitely_based = True
-    rho_approximable = True
-    upward_continuous = True
     balance_guided = False
 
     def contains(self, graph, cocycle, vertices):
@@ -54,17 +51,6 @@ class CellFamily:
         """Incremental admission state for the growth search; None means the
         search must fall back to the full oracle at every step."""
         return None
-
-    def generate(self, graph, cocycle, anchor, budget=DEFAULT_BUDGET, prepart=None):
-        """Candidate cells touching the anchor, each passing the oracle."""
-        if prepart is None:
-            prepart = Prepartition.empty(graph.vertex_count)
-        ctx = _SearchContext(graph, cocycle, self, prepart, budget)
-        out = []
-        for cand in ctx.chain_candidates(ctx.unit_of(int(anchor)), max_cells=0, p=None):
-            if self.contains(graph, cocycle, cand):
-                out.append(cand)
-        return out
 
 
 class ConnectedFamily(CellFamily):
@@ -79,8 +65,6 @@ class ConnectedFamily(CellFamily):
 
 
 class SingletonFamily(CellFamily):
-    rho_approximable = False
-
     def contains(self, graph, cocycle, vertices):
         return len(as_vertex_array(vertices, graph.vertex_count)) == 1
 
@@ -90,8 +74,6 @@ class SingletonFamily(CellFamily):
 
 class SizeWindowFamily(CellFamily):
     """Connected sets whose size lies in [min_size, max_size]."""
-
-    rho_approximable = False
 
     def __init__(self, min_size=1, max_size=None):
         self.min_size = int(min_size)

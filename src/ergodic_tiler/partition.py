@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotCoherent
-from .graph import is_connected_set
+from .graph import is_connected_set, label_components
 from .validation import as_vertex_array
 
 
@@ -16,6 +16,26 @@ def _canonical_classes(groups):
     cleaned = [np.array(sorted(int(v) for v in g), dtype=np.int64) for g in groups if len(g)]
     cleaned.sort(key=lambda a: int(a[0]))
     return cleaned
+
+
+def _first_member_edges(labels):
+    """Edges from each labelled vertex to the smallest vertex sharing its label.
+
+    Label -1 marks an unlabelled vertex, which gets no edge.
+    """
+    members = np.flatnonzero(labels >= 0)
+    _, first, inverse = np.unique(labels[members], return_index=True, return_inverse=True)
+    return np.stack([members, members[first][inverse]], axis=1)
+
+
+def _groups(labels, count):
+    """Sorted members of each label 0..count-1, in label order.
+
+    Vertices labelled -1 sort first and are left out.
+    """
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels[labels >= 0], minlength=count)
+    return np.split(order[len(order) - int(sizes.sum()):], np.cumsum(sizes))[:-1]
 
 
 class EquivRel:
@@ -67,23 +87,9 @@ class EquivRel:
 
     def join(self, other):
         """Smallest common coarsening (classes of the union of both relations)."""
-        n = self.vertex_count
-        parent = np.arange(n, dtype=np.int64)
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for rel in (self, other):
-            for c in rel.classes:
-                if len(c) > 1:
-                    r = find(int(c[0]))
-                    for v in c[1:]:
-                        parent[find(int(v))] = r
-        labels = np.array([find(v) for v in range(n)], dtype=np.int64)
-        return EquivRel.from_labels(labels)
+        edges = np.concatenate([_first_member_edges(self.class_of), _first_member_edges(other.class_of)])
+        labels, count = label_components(self.vertex_count, edges)
+        return EquivRel(labels, _groups(labels, count))
 
     def is_graph_connected(self, graph):
         return all(is_connected_set(graph, c) for c in self.classes)
@@ -217,26 +223,12 @@ def coherent_limit(parts):
                         f"prepartition {j} has a cell cutting a cell of prepartition {idx}"
                     )
 
-    parent = np.arange(n, dtype=np.int64)
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     covered = np.zeros(n, dtype=bool)
     for p in parts:
-        for c in p.cells:
-            covered[c] = True
-            r = find(int(c[0]))
-            for v in c[1:]:
-                parent[find(int(v))] = r
-
-    groups = {}
-    for v in np.flatnonzero(covered):
-        groups.setdefault(find(int(v)), []).append(int(v))
-    limit = Prepartition.from_cells(list(groups.values()), n)
+        covered |= p.domain_mask()
+    edges = np.concatenate([_first_member_edges(p.cell_of) for p in parts])
+    labels, count = label_components(n, edges, keep=covered)
+    limit = Prepartition.from_cells(_groups(labels, count), n)
 
     seen = set()
     for p in parts:

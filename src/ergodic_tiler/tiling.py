@@ -17,7 +17,7 @@ import numpy as np
 
 from .averages import VertexFunction
 from .errors import BadDenominator, NotFitted, StallDiagnostic
-from .graph import Cocycle, RhoMeasure, quotient
+from .graph import Cocycle, RhoMeasure, class_means, label_components, quotient
 from .packing import CentralFamily, SearchBudget, packed_and_saturated
 from .partition import EquivRel, Prepartition
 from .reports import ConvergenceReport
@@ -90,15 +90,10 @@ class TilingState:
     spill_checks: list = field(default_factory=list)
 
 
-def _stage_statistics(graph, cocycle, mu, f, relation, target, eps, frontier):
-    nw = cocycle.component_normalized_weights(graph)
+def _stage_statistics(cocycle, mu, f, relation, target, eps, frontier, g=None):
     labels = relation.class_of
     k = relation.class_count
-    tot = np.zeros(k)
-    np.add.at(tot, labels, nw)
-    fdot = np.zeros(k)
-    np.add.at(fdot, labels, f * nw)
-    class_mean = fdot / tot
+    class_mean, _ = class_means(cocycle, labels, k, f, g)
 
     touched = np.zeros(k, dtype=bool)
     if frontier is not None and len(frontier):
@@ -113,8 +108,22 @@ def _stage_statistics(graph, cocycle, mu, f, relation, target, eps, frontier):
     hist = {}
     for s in sizes:
         hist[int(s)] = hist.get(int(s), 0) + 1
-    mean_values = class_mean[labels]
-    return mass_within, frontier_mass, int(sizes.max()), float(sizes.mean()), hist, mean_values
+    return mass_within, frontier_mass, int(sizes.max()), float(sizes.mean()), hist
+
+
+def _new_report(model, eps, max_stages, target):
+    return ConvergenceReport(
+        config={
+            "model.kind": model.spec.kind,
+            "model.n": model.spec.n,
+            "model.p": model.spec.p,
+            "model.q": model.spec.q,
+            "run.eps": eps,
+            "run.max_stages": max_stages,
+        },
+        seed=model.spec.seed,
+        target_mean=target,
+    )
 
 
 def _spill_check(graph, cocycle, part, relation, covered_mask, components):
@@ -175,18 +184,7 @@ def run_tiling(model, eps, max_stages=12, budget=None, raise_on_stall=True):
     lambdas, ratios, packs = schedule_constants(delta, sup, max_stages)
 
     state = TilingState(delta=delta, sup_norm=sup, lambdas=lambdas, ratios=ratios, packs=packs)
-    report = ConvergenceReport(
-        config={
-            "model.kind": model.spec.kind,
-            "model.n": model.spec.n,
-            "model.p": model.spec.p,
-            "model.q": model.spec.q,
-            "run.eps": eps,
-            "run.max_stages": max_stages,
-        },
-        seed=model.spec.seed,
-        target_mean=target,
-    )
+    report = _new_report(model, eps, max_stages, target)
 
     relation = EquivRel.identity(n)
     covered = np.zeros(n, dtype=bool)
@@ -224,8 +222,8 @@ def run_tiling(model, eps, max_stages=12, budget=None, raise_on_stall=True):
         state.relations.append(relation)
         covered |= part.domain_mask()
 
-        mass_within, frontier_mass, max_tile, mean_tile, hist, _ = _stage_statistics(
-            graph, cocycle, mu, f, relation, target, eps, frontier
+        mass_within, frontier_mass, max_tile, mean_tile, hist = _stage_statistics(
+            cocycle, mu, f, relation, target, eps, frontier
         )
         wall_ms = (time.perf_counter() - t0) * 1000.0
         report.add_stage(stage, eps, mass_within, max_tile, mean_tile, wall_ms, hist)
@@ -293,7 +291,7 @@ def finitizing_visibility_check(graph, cocycle, values, prepart, lam, min_ratio,
     reaches the family's floor is flagged as a packedness gap.
     """
     free_mask = ~prepart.domain_mask()
-    labels, n_lab = graph.subgraph_components(free_mask)
+    labels, n_lab = label_components(graph.vertex_count, graph.edges(), free_mask)
     nw = cocycle.component_normalized_weights(graph)
     comps = []
     flagged = []
@@ -370,60 +368,17 @@ def ratio_experiment(model, g, eps, max_stages=12, budget=None, f=None, raise_on
         frontier=model.frontier,
         raw_mean=0.0,
     )
-    state, _inner = run_tiling(rescaled, eps, max_stages, budget, raise_on_stall)
+    state, inner = run_tiling(rescaled, eps, max_stages, budget, raise_on_stall)
 
     target_ratio = float(np.dot(model.measure.atoms, farr)) / total_g
-    report = ConvergenceReport(
-        config={
-            "model.kind": model.spec.kind,
-            "model.n": model.spec.n,
-            "model.p": model.spec.p,
-            "model.q": model.spec.q,
-            "run.eps": eps,
-            "run.max_stages": max_stages,
-        },
-        seed=model.spec.seed,
-        target_mean=target_ratio,
-    )
-    nw = model.cocycle.component_normalized_weights(graph)
-    for i, relation in enumerate(state.relations):
-        labels = relation.class_of
-        k = relation.class_count
-        fsum = np.zeros(k)
-        gsum = np.zeros(k)
-        np.add.at(fsum, labels, farr * nw)
-        np.add.at(gsum, labels, garr * nw)
-        ratio = fsum / gsum
-        touched = np.zeros(k, dtype=bool)
-        if model.frontier is not None and len(model.frontier):
-            touched[labels[model.frontier]] = True
-        ok = (np.abs(ratio - target_ratio) <= eps)[labels] & ~touched[labels]
-        mass_within = float(model.measure.atoms[ok].sum())
-        sizes = np.bincount(labels, minlength=k)
-        hist = {}
-        for s in sizes:
-            hist[int(s)] = hist.get(int(s), 0) + 1
-        inner_row = _inner.rows[i]
-        report.add_stage(i + 1, eps, mass_within, int(sizes.max()), float(sizes.mean()), inner_row.wall_ms, hist)
+    report = _new_report(model, eps, max_stages, target_ratio)
+    for relation, row in zip(state.relations, inner.rows):
+        mass_within, _, max_tile, mean_tile, hist = _stage_statistics(
+            model.cocycle, model.measure, farr, relation, target_ratio, eps, model.frontier, garr
+        )
+        report.add_stage(row.stage, eps, mass_within, max_tile, mean_tile, row.wall_ms, hist)
     report.status = state.status
     return state, report
-
-
-def tile_ratios(model, relation, g=None, f=None):
-    """Per-vertex ratio statistic under one relation (g defaults to 1)."""
-    n = model.graph.vertex_count
-    farr = as_values_array(f if f is not None else model.values, n)
-    garr = as_values_array(g, n) if g is not None else np.ones(n)
-    if np.any(garr <= 0):
-        raise BadDenominator("g must be strictly positive everywhere")
-    nw = model.cocycle.component_normalized_weights(model.graph)
-    labels = relation.class_of
-    k = relation.class_count
-    fsum = np.zeros(k)
-    gsum = np.zeros(k)
-    np.add.at(fsum, labels, farr * nw)
-    np.add.at(gsum, labels, garr * nw)
-    return (fsum / gsum)[labels]
 
 
 class ErgodicTiler:
@@ -478,14 +433,9 @@ class ErgodicTiler:
         self._check_fitted()
         model = self.model_
         vals = as_values_array(values if values is not None else model.values, model.graph.vertex_count)
-        nw = model.cocycle.component_normalized_weights(model.graph)
         labels = self.relation_.class_of
-        k = self.relation_.class_count
-        tot = np.zeros(k)
-        fdot = np.zeros(k)
-        np.add.at(tot, labels, nw)
-        np.add.at(fdot, labels, vals * nw)
-        return (fdot / tot)[labels]
+        means, _ = class_means(model.cocycle, labels, self.relation_.class_count, vals)
+        return means[labels]
 
     def fit_transform(self, model, values=None):
         return self.fit(model).transform(values)

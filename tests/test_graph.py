@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergodic_tiler import (
     Cocycle,
@@ -22,7 +24,7 @@ from ergodic_tiler import (
     rho_sorted,
     write_graph_file,
 )
-from ergodic_tiler.graph import cocycle_identity_holds
+from ergodic_tiler.graph import cocycle_identity_holds, label_components
 
 
 def path_graph(n, logw=None):
@@ -73,6 +75,49 @@ class TestBuildGraph:
         g, _ = build_graph([(2, 0), (1, 2)], [0.0, 0.0, 0.0])
         assert g.neighbors(2).tolist() == [0, 1]
         assert g.neighbors(0).tolist() == [2]
+
+
+def bfs_labels(n, edges, keep):
+    """Reference labelling: BFS from each unlabelled kept vertex in id order."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    labels = [-1] * n
+    count = 0
+    for start in range(n):
+        if not keep[start] or labels[start] != -1:
+            continue
+        labels[start] = count
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u in adj[v]:
+                if keep[u] and labels[u] == -1:
+                    labels[u] = count
+                    stack.append(u)
+        count += 1
+    return labels, count
+
+
+@st.composite
+def graphs_with_masks(draw):
+    n = draw(st.integers(0, 40))
+    vertex = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n)) if n else []
+    keep = draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
+    return n, edges, keep
+
+
+class TestLabelComponents:
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_with_masks())
+    def test_matches_bfs(self, case):
+        n, edges, keep = case
+        labels, count = label_components(n, edges, None if keep is None else np.array(keep, dtype=bool))
+        expect, expect_count = bfs_labels(n, edges, [True] * n if keep is None else keep)
+        assert labels.tolist() == expect
+        assert count == expect_count
 
 
 class TestOuterBoundary:
@@ -203,6 +248,11 @@ class TestQuotient:
         rel = EquivRel.from_classes([[0, 2], [1]], 3)
         with pytest.raises(DisconnectedClass):
             quotient(g, c, np.zeros(3), rel)
+        # every class is split, and only through the other class
+        g, c = path_graph(4)
+        rel = EquivRel.from_classes([[0, 2], [1, 3]], 4)
+        with pytest.raises(DisconnectedClass):
+            quotient(g, c, np.zeros(4), rel)
 
     def test_compose_equals_join(self):
         rng = np.random.default_rng(2)

@@ -19,6 +19,27 @@ class TestEquivRel:
         b = EquivRel.from_classes([[0], [1, 2], [3]], 4)
         j = a.join(b)
         assert [c.tolist() for c in j.classes] == [[0, 1, 2], [3]]
+        # random relations against a brute-force union-find over both
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n = int(rng.integers(1, 20))
+            a = EquivRel.from_labels(rng.integers(0, n, size=n))
+            b = EquivRel.from_labels(rng.integers(0, n, size=n))
+            parent = list(range(n))
+
+            def find(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            for rel in (a, b):
+                for c in rel.classes:
+                    for v in c[1:]:
+                        parent[find(int(v))] = find(int(c[0]))
+            j = a.join(b)
+            expect = EquivRel.from_labels([find(v) for v in range(n)])
+            assert j == expect
+            assert j.class_of.tolist() == expect.class_of.tolist()
 
     def test_refines(self):
         fine = EquivRel.from_classes([[0], [1], [2, 3]], 4)
