@@ -67,13 +67,10 @@ from .packing import (
     ConnectedFamily,
     PackCertificate,
     SearchBudget,
-    SingletonFamily,
-    SizeWindowFamily,
     audit_packed,
     audit_saturated,
     find_pack,
     is_p_pack,
-    large_ratio_prepartition,
     packed,
     packed_and_saturated,
     saturate,
@@ -105,7 +102,6 @@ from .tiling import (
     ErgodicTiler,
     TilingState,
     cutting_one_side_delta,
-    finitizing_visibility_check,
     linf_reduction,
     ratio_experiment,
     run_tiling,

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import EmptySet, NotDisjoint, TargetOutOfRange
-from .graph import is_connected_set, outer_boundary, rho_max_ratio
+from .errors import NotDisjoint, TargetOutOfRange
+from .graph import class_means, is_connected_set
 from .validation import (
     as_values_array,
     as_vertex_array,
@@ -95,23 +94,26 @@ def mean_over(graph, values, cocycle, relation, exact=False):
     identity holds with no tolerance.
     """
     vals = as_values_array(values, graph.vertex_count)
+    class_of = relation.class_of
+    # each class keeps the component of one member; a member elsewhere splits it
+    class_comp = np.empty(relation.class_count, dtype=np.int64)
+    class_comp[class_of] = graph.component_id
+    split = class_of[class_comp[class_of] != graph.component_id]
+    if split.size:
+        require_same_component(graph, np.flatnonzero(class_of == split.min()), "equivalence class")
     if exact:
         nw = cocycle.component_normalized_weights(graph)
         w = [Fraction(float(x)) for x in nw]
         out_exact = [None] * graph.vertex_count
         for cls in relation.classes:
-            require_same_component(graph, cls, "equivalence class")
             num = sum(Fraction(float(vals[v])) * w[v] for v in cls)
             den = sum(w[v] for v in cls)
             a = num / den
             for v in cls:
                 out_exact[v] = a
         return out_exact
-    out = np.empty(graph.vertex_count)
-    for cls in relation.classes:
-        require_same_component(graph, cls, "equivalence class")
-        out[cls] = weighted_average(vals, cocycle, cls)
-    return VertexFunction(out)
+    means, _ = class_means(cocycle, class_of, relation.class_count, vals)
+    return VertexFunction(means[class_of])
 
 
 def chebyshev_restriction(graph, values, cocycle, relation, mu, eps):
@@ -123,10 +125,7 @@ def chebyshev_restriction(graph, values, cocycle, relation, mu, eps):
     f = values if isinstance(values, VertexFunction) else VertexFunction(as_values_array(values, graph.vertex_count))
     bound = f.l1_norm(mu) / eps
     means = mean_over(graph, f.values, cocycle, relation)
-    keep = [cls for cls in relation.classes if abs(means.values[cls[0]]) <= bound]
-    if keep:
-        return np.sort(np.concatenate(keep))
-    return np.empty(0, dtype=np.int64)
+    return np.flatnonzero(np.abs(means.values) <= bound)
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,12 @@ from . import __version__
 from .averages import VertexFunction
 from .cuts import edge_price, vertex_price
 from .errors import ErgodicTilerError, StallDiagnostic
-from .flows import disbalance_report, global_balance, read_flow_file, validate_flow
+from .flows import disbalance_report, read_flow_file, validate_flow
 from .graph import RhoMeasure, read_graph_file
 from .models import ModelSpec, generate_model
 from .packing import (
     CentralFamily,
     ConnectedFamily,
-    SearchBudget,
     audit_packed,
     audit_saturated,
     packed_and_saturated,

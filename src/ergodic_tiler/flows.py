@@ -9,7 +9,7 @@ mass (in <= 1). Absent pairs mean zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CrossComponent, DisconnectedClass, EmptySet, MalformedGraph
+from .errors import DisconnectedClass, MalformedGraph
 from .validation import as_values_array, as_vertex_array, require_nonempty, require_same_component
 
 
@@ -287,13 +287,15 @@ class RhoMeasure:
 
 @dataclass(frozen=True)
 class QuotientResult:
-    """Contraction of a graph along connected equivalence classes."""
+    """Contraction of a graph along connected equivalence classes.
+
+    class_of is the relation's own label array: base vertex to quotient vertex.
+    """
 
     graph: WeightedGraph
     cocycle: Cocycle
     values: np.ndarray
     class_of: np.ndarray
-    classes: tuple
 
 
 def class_means(cocycle, class_of, k, f, g=None):
@@ -323,7 +325,7 @@ def quotient(graph, cocycle, values, relation):
     """
     values = as_values_array(values, graph.vertex_count)
     class_of = relation.class_of
-    k = len(relation.classes)
+    k = relation.class_count
     base_edges = graph.edges()
 
     # the intra-class edges split each class into its pieces: one piece per
@@ -332,19 +334,14 @@ def quotient(graph, cocycle, values, relation):
     pieces, count = label_components(graph.vertex_count, base_edges[ends[:, 0] == ends[:, 1]])
     if count != k:
         first_members = np.unique(pieces, return_index=True)[1]
-        bad = relation.classes[np.flatnonzero(np.bincount(class_of[first_members], minlength=k) > 1)[0]]
+        bad_class = np.flatnonzero(np.bincount(class_of[first_members], minlength=k) > 1)[0]
+        bad = np.flatnonzero(class_of == bad_class)
         raise DisconnectedClass(f"class with members {bad[:8].tolist()}... is not connected")
 
     q_vals, q_logw = class_means(cocycle, class_of, k, values)
     out_edges = np.unique(np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1), axis=0)
     qgraph, qcocycle = build_graph(out_edges, q_logw)
-    return QuotientResult(
-        graph=qgraph,
-        cocycle=qcocycle,
-        values=q_vals,
-        class_of=class_of.copy(),
-        classes=tuple(np.array(c, dtype=np.int64) for c in relation.classes),
-    )
+    return QuotientResult(graph=qgraph, cocycle=qcocycle, values=q_vals, class_of=class_of)
 
 
 def cocycle_identity_holds(cocycle, x, y, z):

@@ -16,8 +16,8 @@ import numpy as np
 
 from .averages import weighted_average
 from .errors import EmptySet, InvariantBreach
-from .graph import is_connected_set, quotient, rho_max_ratio
-from .partition import EquivRel, Prepartition
+from .graph import is_connected_set, rho_max_ratio
+from .partition import Prepartition
 from .validation import as_values_array, as_vertex_array, require_same_component
 
 
@@ -42,15 +42,12 @@ MAX_PASSES = 10_000
 class CellFamily:
     """Deterministic membership oracle over vertex sets."""
 
-    balance_guided = False
-
     def contains(self, graph, cocycle, vertices):
         raise NotImplementedError
 
     def tracker(self, graph, cocycle):
-        """Incremental admission state for the growth search; None means the
-        search must fall back to the full oracle at every step."""
-        return None
+        """Incremental admission state for the growth search."""
+        raise NotImplementedError
 
 
 class ConnectedFamily(CellFamily):
@@ -64,40 +61,11 @@ class ConnectedFamily(CellFamily):
         return _AlwaysAdmits()
 
 
-class SingletonFamily(CellFamily):
-    def contains(self, graph, cocycle, vertices):
-        return len(as_vertex_array(vertices, graph.vertex_count)) == 1
-
-    def tracker(self, graph, cocycle):
-        return _SizeWindowTracker(1, 1)
-
-
-class SizeWindowFamily(CellFamily):
-    """Connected sets whose size lies in [min_size, max_size]."""
-
-    def __init__(self, min_size=1, max_size=None):
-        self.min_size = int(min_size)
-        self.max_size = None if max_size is None else int(max_size)
-
-    def contains(self, graph, cocycle, vertices):
-        v = as_vertex_array(vertices, graph.vertex_count)
-        if v.size < self.min_size:
-            return False
-        if self.max_size is not None and v.size > self.max_size:
-            return False
-        return v.size > 0 and is_connected_set(graph, v)
-
-    def tracker(self, graph, cocycle):
-        return _SizeWindowTracker(self.min_size, self.max_size)
-
-
 class CentralFamily(CellFamily):
     """Connected sets with near-zero weighted mean and large mass ratio.
 
     Admits U iff |average of f over U| < lam and mass(U)/max-atom(U) >= min_ratio.
     """
-
-    balance_guided = True
 
     def __init__(self, values, lam, min_ratio=1.0):
         self.values = np.asarray(as_values_array(values), dtype=float)
@@ -124,22 +92,6 @@ class _AlwaysAdmits:
 
     def admits(self):
         return True
-
-
-class _SizeWindowTracker:
-    __slots__ = ("lo", "hi", "size")
-
-    def __init__(self, lo, hi):
-        self.lo, self.hi = lo, hi
-        self.size = 0
-
-    def add(self, size, mass, fdot, wmax):
-        self.size += size
-
-    def admits(self):
-        if self.size < self.lo:
-            return False
-        return self.hi is None or self.size <= self.hi
 
 
 class _CentralTracker:
@@ -223,9 +175,6 @@ class _Builder:
         self.cell_of[self.cells[ci]] = -1
         del self.cells[ci]
 
-    def cell_vertices(self, ci):
-        return self.cells[ci]
-
     def apply(self, vertices):
         """Install a new cell, absorbing every cell it intersects."""
         for ci in np.unique(self.cell_of[vertices]):
@@ -239,25 +188,18 @@ class _Builder:
         return Prepartition.from_cells(list(self.cells.values()), self.n)
 
 
-class _FrozenState:
-    """Read adapter so a Prepartition can drive the search directly."""
-
-    def __init__(self, prepart):
-        self.cell_of = prepart.cell_of
-        self._cells = prepart.cells
-
-    def cell_vertices(self, ci):
-        return self._cells[ci]
-
-
 class _SearchContext:
-    """Greedy candidate growth over free vertices and whole cells."""
+    """Greedy candidate growth over free vertices and whole cells.
+
+    The state is a _Builder or a Prepartition: anything with cell_of and
+    cells[ci].
+    """
 
     def __init__(self, graph, cocycle, family, state, budget):
         self.graph = graph
         self.cocycle = cocycle
         self.family = family
-        self.state = _FrozenState(state) if isinstance(state, Prepartition) else state
+        self.state = state
         self.budget = budget
         self.n = graph.vertex_count
         self.nw = cocycle.component_normalized_weights(graph)
@@ -271,7 +213,7 @@ class _SearchContext:
 
     def unit_vertices(self, unit):
         if unit >= self.n:
-            return self.state.cell_vertices(unit - self.n)
+            return self.state.cells[unit - self.n]
         return (unit,)
 
     def unit_stats(self, unit):
@@ -279,7 +221,7 @@ class _SearchContext:
             ci = unit - self.n
             st = self._cell_stats.get(ci)
             if st is None:
-                cell = self.state.cell_vertices(ci)
+                cell = self.state.cells[ci]
                 fdot = float(self.fnw[cell].sum()) if self.fnw is not None else 0.0
                 st = (len(cell), float(self.nw[cell].sum()), fdot, float(self.nw[cell].max()))
                 self._cell_stats[ci] = st
@@ -289,7 +231,7 @@ class _SearchContext:
 
     def unit_min_id(self, unit):
         if unit >= self.n:
-            return int(self.state.cell_vertices(unit - self.n)[0])
+            return int(self.state.cells[unit - self.n][0])
         return unit
 
     def chain_candidates(self, anchor_unit, max_cells, p):
@@ -300,14 +242,14 @@ class _SearchContext:
         cell past the budget. max_cells caps how many existing cells may be
         absorbed (None means unlimited). When p is not None, only candidates
         whose fresh mass is at least p times their absorbed mass (and
-        positive) are yielded. Family admission uses the incremental tracker
-        when one exists, otherwise the full oracle at every step.
+        positive) are yielded. Family admission uses the family's incremental
+        tracker; steering toward balance happens when the family has values.
         """
         tracker = self.family.tracker(self.graph, self.cocycle)
         graph = self.graph
         n = self.n
         cap = self.budget.max_units
-        balance = bool(getattr(self.family, "balance_guided", False)) and self.fnw is not None
+        balance = self.fnw is not None
 
         in_units = set()
         vertices = []
@@ -348,8 +290,7 @@ class _SearchContext:
             if pos is not None:
                 f_active[pos] = False
             size, mass, fdot, wmax = self.unit_stats(unit)
-            if tracker is not None:
-                tracker.add(size, mass, fdot, wmax)
+            tracker.add(size, mass, fdot, wmax)
             fsum += fdot
             if unit >= n:
                 old_mass += mass
@@ -369,15 +310,8 @@ class _SearchContext:
         add_unit(anchor_unit)
         while True:
             pack_ok = p is None or (new_mass > 0.0 and new_mass >= p * old_mass)
-            if pack_ok:
-                if tracker is not None:
-                    family_ok = tracker.admits()
-                else:
-                    family_ok = self.family.contains(
-                        graph, self.cocycle, np.array(sorted(vertices), dtype=np.int64)
-                    )
-                if family_ok:
-                    yield np.array(sorted(vertices), dtype=np.int64)
+            if pack_ok and tracker.admits():
+                yield np.array(sorted(vertices), dtype=np.int64)
             room = cap - len(vertices)
             if room <= 0 or not f_pos:
                 return
@@ -449,9 +383,9 @@ def _exhaustive_candidates(ctx, comp, max_cells, p):
 def find_pack(graph, cocycle, family, prepart, p, budget=DEFAULT_BUDGET, injective=False):
     """First pack over the prepartition found within the family, or None.
 
-    Complete on components within the exhaustive limit, greedy beyond it; any
-    returned pack is re-verified against the family oracle and the mass
-    condition, and always carries fresh mass.
+    Complete on components within the exhaustive limit, greedy beyond it.
+    Every candidate has passed the family oracle once; a returned pack is
+    re-checked against the mass condition and always carries fresh mass.
     """
     ctx = _SearchContext(graph, cocycle, family, prepart, budget)
     max_cells = 1 if injective else None
@@ -468,8 +402,7 @@ def find_pack(graph, cocycle, family, prepart, p, budget=DEFAULT_BUDGET, injecti
                 continue
             if injective and len(cert.absorbed_cells) > 1:
                 continue
-            if family.contains(graph, cocycle, cand):
-                return cert
+            return cert
     return None
 
 
@@ -523,18 +456,10 @@ def packed(graph, cocycle, family, p, budget=DEFAULT_BUDGET):
         ctx = _SearchContext(graph, cocycle, family, builder, budget)
         for comp in range(graph.component_count):
             if comp_sizes[comp] <= budget.exhaustive_limit:
-                while True:
-                    cands = _exhaustive_candidates(ctx, comp, None, p)
-                    applied = False
-                    for cand in cands:
-                        if family.contains(graph, cocycle, cand):
-                            builder.apply(cand)
-                            ctx._cell_stats.clear()
-                            changed = True
-                            applied = True
-                            break
-                    if not applied:
-                        break
+                while cands := _exhaustive_candidates(ctx, comp, None, p):
+                    builder.apply(cands[0])
+                    ctx._cell_stats.clear()
+                    changed = True
                 continue
             for v in graph.component_members(comp):
                 if builder.cell_of[v] >= 0:
@@ -584,8 +509,6 @@ def saturate(graph, cocycle, family, prepart, budget=DEFAULT_BUDGET):
                 continue
             if any(not np.isin(builder.cells[ci], cand).all() for ci in touched):
                 continue
-            if not family.contains(graph, cocycle, cand):
-                continue
             builder.apply(cand)
             applied = True
         if not applied:
@@ -622,105 +545,3 @@ def audit_packed(graph, cocycle, family, prepart, p, budget=DEFAULT_BUDGET):
 def audit_saturated(graph, cocycle, family, prepart, budget=DEFAULT_BUDGET):
     """Budgeted re-search for injective family growths; None means none found."""
     return find_pack(graph, cocycle, family, prepart, p=0.0, budget=budget, injective=True)
-
-
-@dataclass(frozen=True)
-class LargeRatioResult:
-    prepartition: Prepartition
-    stages: tuple
-    covered_mass: float
-    iterations: int
-    uncoverable_components: tuple
-    stalled: bool
-
-
-class _LiftedRatioFamily(CellFamily):
-    """Quotient-level family: contraction ratio at least L and, lifted back to
-    base vertices, membership in the caller's family."""
-
-    def __init__(self, base_family, base_graph, base_cocycle, lift_classes, min_ratio):
-        self.base_family = base_family
-        self.base_graph = base_graph
-        self.base_cocycle = base_cocycle
-        self.lift_classes = lift_classes
-        self.min_ratio = float(min_ratio)
-
-    def lift(self, qset):
-        return np.sort(np.concatenate([self.lift_classes[int(q)] for q in qset]))
-
-    def contains(self, graph, cocycle, vertices):
-        v = as_vertex_array(vertices, graph.vertex_count)
-        if v.size == 0 or not is_connected_set(graph, v):
-            return False
-        if rho_max_ratio(graph, cocycle, v) < self.min_ratio:
-            return False
-        return self.base_family.contains(self.base_graph, self.base_cocycle, self.lift(v))
-
-
-def large_ratio_prepartition(
-    graph,
-    cocycle,
-    family,
-    mu,
-    eps,
-    min_ratio,
-    budget=DEFAULT_BUDGET,
-    max_iterations=8,
-):
-    """Cover most of the mass by family cells whose mass ratio is at least L.
-
-    Works on successive contractions: each round builds a packed and saturated
-    prepartition whose contracted cells have ratio at least L, certifying the
-    lifted cells, then contracts and repeats. Components whose own total ratio
-    is below L contain a vertex no admissible cell can cover and are reported
-    rather than hidden.
-    """
-    n = graph.vertex_count
-    uncoverable = tuple(
-        int(c)
-        for c in range(graph.component_count)
-        if rho_max_ratio(graph, cocycle, graph.component_members(c)) < min_ratio
-    )
-    relation = EquivRel.identity(n)
-    stages = []
-    covered_prev = -1.0
-    stalled = False
-    iterations = 0
-    current = Prepartition.empty(n)
-    for it in range(1, max_iterations + 1):
-        iterations = it
-        q = quotient(graph, cocycle, np.zeros(n), relation)
-        qfam = _LiftedRatioFamily(family, graph, cocycle, q.classes, min_ratio)
-        qpart = packed_and_saturated(q.graph, q.cocycle, qfam, p=1.0, budget=budget)
-        lifted = [
-            np.sort(np.concatenate([q.classes[int(qi)] for qi in cell])) for cell in qpart.cells
-        ]
-        lifted_mask = np.zeros(n, dtype=bool)
-        for lc in lifted:
-            lifted_mask[lc] = True
-        keep = [c for c in current.cells if not lifted_mask[c].any()]
-        current = Prepartition.from_cells(keep + lifted, n)
-        stages.append(current)
-        relation = relation.join(current.to_equiv())
-        covered = mu.mass(current.domain())
-        if covered >= 1.0 - eps:
-            return LargeRatioResult(
-                prepartition=current,
-                stages=tuple(stages),
-                covered_mass=covered,
-                iterations=it,
-                uncoverable_components=uncoverable,
-                stalled=False,
-            )
-        if covered <= covered_prev:
-            stalled = True
-            break
-        covered_prev = covered
-    return LargeRatioResult(
-        prepartition=current,
-        stages=tuple(stages),
-        covered_mass=mu.mass(current.domain()),
-        iterations=iterations,
-        uncoverable_components=uncoverable,
-        stalled=stalled,
-    )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,11 +11,40 @@ from .graph import is_connected_set, label_components
 from .validation import as_vertex_array
 
 
-def _canonical_classes(groups):
-    """Sort members within each class and classes by smallest member."""
-    cleaned = [np.array(sorted(int(v) for v in g), dtype=np.int64) for g in groups if len(g)]
-    cleaned.sort(key=lambda a: int(a[0]))
-    return cleaned
+def _canonical_labels(labels):
+    """Renumber classes 0..count-1 in the order of their smallest members.
+
+    Label -1 (any negative label) marks a free vertex and stays -1. Returns
+    (labels, count).
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    members = np.flatnonzero(labels >= 0)
+    _, first, inverse = np.unique(labels[members], return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    # first holds distinct values, so any sort gives this order; the stable
+    # kernel is the one _groups already loads (the default one pages in
+    # another 256 KiB of code on its first call)
+    rank[np.argsort(first, kind="stable")] = np.arange(first.size)
+    out = np.full(labels.shape, -1, dtype=np.int64)
+    out[members] = rank[inverse]
+    return out, int(first.size)
+
+
+def _group_labels(groups, n, noun, overlap):
+    """Canonical labels of disjoint vertex groups; vertices in no group get -1.
+
+    Raises IndexError for a vertex outside 0..n-1, and ValueError(overlap)
+    when a vertex appears twice, in two groups or twice in one.
+    """
+    groups = [np.asarray(g, dtype=np.int64).ravel() for g in groups]
+    members = np.concatenate(groups) if groups else np.empty(0, dtype=np.int64)
+    if members.size and (members.min() < 0 or members.max() >= n):
+        raise IndexError(f"{noun} vertex out of range")
+    if members.size and np.bincount(members, minlength=n).max() > 1:
+        raise ValueError(overlap)
+    labels = np.full(n, -1, dtype=np.int64)
+    labels[members] = np.repeat(np.arange(len(groups)), [g.size for g in groups])
+    return _canonical_labels(labels)
 
 
 def _first_member_edges(labels):
@@ -39,57 +68,50 @@ def _groups(labels, count):
 
 
 class EquivRel:
-    """Partition of all vertices; classes ordered by their smallest member."""
+    """Partition of all vertices, stored as one canonical label per vertex.
 
-    __slots__ = ("class_of", "classes")
+    Classes are numbered by their smallest member; the member arrays are
+    built on first read of `classes`.
+    """
 
-    def __init__(self, class_of, classes):
+    __slots__ = ("class_of", "class_count", "_classes")
+
+    def __init__(self, class_of, class_count):
         self.class_of = class_of
-        self.classes = classes
+        self.class_count = class_count
+        self._classes = None
 
     @classmethod
     def identity(cls, n):
-        class_of = np.arange(n, dtype=np.int64)
-        classes = [np.array([i], dtype=np.int64) for i in range(n)]
-        return cls(class_of, classes)
+        return cls(np.arange(n, dtype=np.int64), n)
 
     @classmethod
     def from_labels(cls, labels):
+        """Classes of equal labels; any integer may serve as a label."""
         labels = np.asarray(labels, dtype=np.int64)
-        groups = {}
-        for v, lab in enumerate(labels):
-            groups.setdefault(int(lab), []).append(v)
-        classes = _canonical_classes(groups.values())
-        class_of = np.empty(len(labels), dtype=np.int64)
-        for i, c in enumerate(classes):
-            class_of[c] = i
-        return cls(class_of, classes)
+        return cls(*_canonical_labels(np.unique(labels, return_inverse=True)[1]))
 
     @classmethod
     def from_classes(cls, groups, n):
-        classes = _canonical_classes(groups)
-        class_of = np.full(n, -1, dtype=np.int64)
-        for i, c in enumerate(classes):
-            if np.any(class_of[c] != -1):
-                raise ValueError("classes overlap")
-            class_of[c] = i
-        if np.any(class_of == -1):
+        class_of, count = _group_labels(groups, n, "class", "classes overlap")
+        if np.any(class_of < 0):
             raise ValueError("classes must cover every vertex")
-        return cls(class_of, classes)
+        return cls(class_of, count)
+
+    @property
+    def classes(self):
+        if self._classes is None:
+            self._classes = _groups(self.class_of, self.class_count)
+        return self._classes
 
     @property
     def vertex_count(self):
         return len(self.class_of)
 
-    @property
-    def class_count(self):
-        return len(self.classes)
-
     def join(self, other):
         """Smallest common coarsening (classes of the union of both relations)."""
         edges = np.concatenate([_first_member_edges(self.class_of), _first_member_edges(other.class_of)])
-        labels, count = label_components(self.vertex_count, edges)
-        return EquivRel(labels, _groups(labels, count))
+        return EquivRel(*label_components(self.vertex_count, edges))
 
     def is_graph_connected(self, graph):
         return all(is_connected_set(graph, c) for c in self.classes)
@@ -101,43 +123,45 @@ class EquivRel:
     def __eq__(self, other):
         if not isinstance(other, EquivRel):
             return NotImplemented
-        return len(self.classes) == len(other.classes) and all(
-            np.array_equal(a, b) for a, b in zip(self.classes, other.classes)
-        )
+        return np.array_equal(self.class_of, other.class_of)
 
 
 class Prepartition:
-    """Pairwise disjoint nonempty cells; vertices off the domain are free."""
+    """Pairwise disjoint nonempty cells; vertices off the domain are free.
 
-    __slots__ = ("cells", "cell_of")
+    Stored as one canonical cell label per vertex, -1 off the domain; the
+    member arrays are built on first read of `cells`.
+    """
 
-    def __init__(self, cells, cell_of):
-        self.cells = cells
+    __slots__ = ("cell_of", "cell_count", "_cells")
+
+    def __init__(self, cell_of, cell_count):
         self.cell_of = cell_of
+        self.cell_count = cell_count
+        self._cells = None
 
     @classmethod
     def empty(cls, n):
-        return cls([], np.full(n, -1, dtype=np.int64))
+        return cls(np.full(n, -1, dtype=np.int64), 0)
+
+    @classmethod
+    def from_labels(cls, labels):
+        """Cells of equal nonnegative labels; negative labels mark free vertices."""
+        return cls(*_canonical_labels(labels))
 
     @classmethod
     def from_cells(cls, cells, n):
-        canon = _canonical_classes(cells)
-        cell_of = np.full(n, -1, dtype=np.int64)
-        for i, c in enumerate(canon):
-            if c[0] < 0 or c[-1] >= n:
-                raise IndexError("cell vertex out of range")
-            if np.any(cell_of[c] != -1):
-                raise ValueError("cells must be pairwise disjoint")
-            cell_of[c] = i
-        return cls(canon, cell_of)
+        return cls(*_group_labels(cells, n, "cell", "cells must be pairwise disjoint"))
+
+    @property
+    def cells(self):
+        if self._cells is None:
+            self._cells = _groups(self.cell_of, self.cell_count)
+        return self._cells
 
     @property
     def vertex_count(self):
         return len(self.cell_of)
-
-    @property
-    def cell_count(self):
-        return len(self.cells)
 
     def domain(self):
         return np.flatnonzero(self.cell_of >= 0)
@@ -147,8 +171,10 @@ class Prepartition:
 
     def to_equiv(self):
         """Induced relation: the cells, plus singletons off the domain."""
-        groups = list(self.cells) + [[v] for v in np.flatnonzero(self.cell_of < 0)]
-        return EquivRel.from_classes(groups, self.vertex_count)
+        free = self.cell_of < 0
+        labels = self.cell_of.copy()
+        labels[free] = self.cell_count + np.arange(np.count_nonzero(free))
+        return EquivRel(*_canonical_labels(labels))
 
     def is_invariant(self, U):
         """True iff U is a union of cells plus free vertices (cuts no cell)."""
@@ -174,9 +200,7 @@ class Prepartition:
     def __eq__(self, other):
         if not isinstance(other, Prepartition):
             return NotImplemented
-        return len(self.cells) == len(other.cells) and all(
-            np.array_equal(a, b) for a, b in zip(self.cells, other.cells)
-        )
+        return np.array_equal(self.cell_of, other.cell_of)
 
     def dump(self, path):
         """One line per cell: space-separated vertex ids."""
@@ -227,8 +251,8 @@ def coherent_limit(parts):
     for p in parts:
         covered |= p.domain_mask()
     edges = np.concatenate([_first_member_edges(p.cell_of) for p in parts])
-    labels, count = label_components(n, edges, keep=covered)
-    limit = Prepartition.from_cells(_groups(labels, count), n)
+    labels, _ = label_components(n, edges, keep=covered)
+    limit = Prepartition.from_labels(labels)
 
     seen = set()
     for p in parts:

@@ -9,7 +9,6 @@ toward the global mean.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .averages import VertexFunction
 from .errors import BadDenominator, NotFitted, StallDiagnostic
-from .graph import Cocycle, RhoMeasure, class_means, label_components, quotient
+from .graph import Cocycle, RhoMeasure, class_means, quotient
 from .packing import CentralFamily, SearchBudget, packed_and_saturated
 from .partition import EquivRel, Prepartition
 from .reports import ConvergenceReport
@@ -213,10 +212,7 @@ def run_tiling(model, eps, max_stages=12, budget=None, raise_on_stall=True):
         q = quotient(graph, cocycle, g, relation)
         family = CentralFamily(q.values, lambdas[stage], ratios[stage])
         qpart = packed_and_saturated(q.graph, q.cocycle, family, packs[stage], stage_budget)
-        lifted = [
-            np.sort(np.concatenate([q.classes[int(qi)] for qi in cell])) for cell in qpart.cells
-        ]
-        part = Prepartition.from_cells(lifted, n)
+        part = Prepartition.from_labels(qpart.cell_of[q.class_of])
         relation = relation.join(part.to_equiv())
         state.prepartitions.append(part)
         state.relations.append(relation)
@@ -265,77 +261,6 @@ def run_tiling(model, eps, max_stages=12, budget=None, raise_on_stall=True):
 
     report.status = state.status
     return state, report
-
-
-@dataclass(frozen=True)
-class VisibilityComponentReport:
-    component: int
-    size: int
-    ratio: float
-    max_block_visibility: float | None
-    flagged: bool
-
-
-@dataclass(frozen=True)
-class FinitizingVisibilityReport:
-    components: tuple
-    flagged_components: tuple
-    free_mass_fraction: float
-
-
-def finitizing_visibility_check(graph, cocycle, values, prepart, lam, min_ratio, detail_limit=4096):
-    """Measure how far the graph off the prepartition's domain can see.
-
-    Reports, per connected piece of the off-domain subgraph, its mass ratio
-    and (on small pieces) the largest block visibility; a piece whose ratio
-    reaches the family's floor is flagged as a packedness gap.
-    """
-    free_mask = ~prepart.domain_mask()
-    labels, n_lab = label_components(graph.vertex_count, graph.edges(), free_mask)
-    nw = cocycle.component_normalized_weights(graph)
-    comps = []
-    flagged = []
-    lw = cocycle.log_weight
-    for lab in range(n_lab):
-        piece = np.flatnonzero(labels == lab)
-        pw = nw[piece]
-        ratio = float(pw.sum() / pw.max())
-        max_vis = None
-        if len(piece) <= detail_limit:
-            max_vis = 0.0
-            piece_set = set(int(v) for v in piece)
-            for x in piece:
-                cap = lw[x]
-                seen = {int(x)}
-                stack = [int(x)]
-                while stack:
-                    v = stack.pop()
-                    for u in graph.neighbors(v):
-                        u = int(u)
-                        if u in piece_set and u not in seen and lw[u] <= cap:
-                            seen.add(u)
-                            stack.append(u)
-                mass = float(np.exp(lw[list(seen)] - cap).sum())
-                max_vis = max(max_vis, mass)
-        is_flagged = ratio >= min_ratio
-        comps.append(
-            VisibilityComponentReport(
-                component=lab,
-                size=int(len(piece)),
-                ratio=ratio,
-                max_block_visibility=max_vis,
-                flagged=is_flagged,
-            )
-        )
-        if is_flagged:
-            flagged.append(lab)
-    total = float(nw.sum())
-    free_fraction = float(nw[free_mask].sum() / total) if total else 0.0
-    return FinitizingVisibilityReport(
-        components=tuple(comps),
-        flagged_components=tuple(flagged),
-        free_mass_fraction=free_fraction,
-    )
 
 
 def ratio_experiment(model, g, eps, max_stages=12, budget=None, f=None, raise_on_stall=True):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadMagnification, InvariantBreach, NoNextBlock
-from .validation import as_vertex_array
 
 
 @dataclass(frozen=True)

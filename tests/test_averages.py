@@ -5,6 +5,7 @@ import pytest
 
 from ergodic_tiler import (
     Cocycle,
+    CrossComponent,
     EmptySet,
     EquivRel,
     NotDisjoint,
@@ -133,6 +134,14 @@ class TestMeanOver:
         out = mean_over(g, f, c, rel)
         expect = (0 * 1 + 4 * 2 + 8 * 1) / 4.0
         np.testing.assert_allclose(out.values, expect)
+
+    def test_class_spanning_two_components_rejected(self):
+        # edges 0-1 and 2-3: the class {1, 2} joins the two components
+        g, c = build_graph([(0, 1), (2, 3)], np.zeros(4))
+        rel = EquivRel.from_classes([[0], [1, 2], [3]], 4)
+        for exact in (False, True):
+            with pytest.raises(CrossComponent, match=r"equivalence class spans components \[0, 1\]"):
+                mean_over(g, np.zeros(4), c, rel, exact=exact)
 
     def test_expectation_identity_random(self):
         # both integrals agree; the oracle is a plain exhaustive atom sum

@@ -1,7 +1,111 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergodic_tiler import EquivRel, NotCoherent, Prepartition, build_graph, coherent_limit
+
+
+# Reference constructions for the label canonicaliser: one Python sort and
+# one assignment loop per class.
+def ref_canonical_classes(groups):
+    cleaned = [np.array(sorted(int(v) for v in g), dtype=np.int64) for g in groups if len(g)]
+    cleaned.sort(key=lambda a: int(a[0]))
+    return cleaned
+
+
+def ref_from_labels(labels):
+    groups = {}
+    for v, lab in enumerate(np.asarray(labels, dtype=np.int64)):
+        groups.setdefault(int(lab), []).append(v)
+    classes = ref_canonical_classes(groups.values())
+    class_of = np.empty(len(labels), dtype=np.int64)
+    for i, c in enumerate(classes):
+        class_of[c] = i
+    return class_of, classes
+
+
+def ref_from_groups(groups, n):
+    """(labels, groups) with -1 on vertices in no group; groups assumed disjoint."""
+    canon = ref_canonical_classes(groups)
+    labels = np.full(n, -1, dtype=np.int64)
+    for i, c in enumerate(canon):
+        labels[c] = i
+    return labels, canon
+
+
+def ref_to_equiv(cells, cell_of):
+    groups = list(cells) + [[v] for v in np.flatnonzero(cell_of < 0)]
+    return ref_from_groups(groups, len(cell_of))
+
+
+@st.composite
+def labelled_groups(draw, cover):
+    """(n, groups): disjoint groups in shuffled order with shuffled members,
+    covering every vertex when cover is set, plus some empty groups."""
+    n = draw(st.integers(0, 30))
+    low = 0 if cover else -1
+    labels = draw(st.lists(st.integers(low, max(n - 1, 0)), min_size=n, max_size=n))
+    groups = [draw(st.permutations([v for v in range(n) if labels[v] == lab])) for lab in set(labels) if lab >= 0]
+    groups += [[]] * draw(st.integers(0, 2))
+    return n, draw(st.permutations(groups))
+
+
+def assert_same_members(got, expect):
+    assert len(got) == len(expect)
+    assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+
+
+class TestCanonicalLabels:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-3, 8), max_size=30))
+    def test_from_labels_matches_reference(self, labels):
+        rel = EquivRel.from_labels(labels)
+        class_of, classes = ref_from_labels(labels)
+        assert rel.class_of.tolist() == class_of.tolist()
+        assert rel.class_count == len(classes)
+        assert_same_members(rel.classes, classes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_groups(cover=True))
+    def test_from_classes_matches_reference(self, case):
+        n, groups = case
+        rel = EquivRel.from_classes(groups, n)
+        class_of, classes = ref_from_groups(groups, n)
+        assert rel.class_of.tolist() == class_of.tolist()
+        assert_same_members(rel.classes, classes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_groups(cover=False))
+    def test_from_cells_and_to_equiv_match_reference(self, case):
+        n, groups = case
+        part = Prepartition.from_cells(groups, n)
+        cell_of, cells = ref_from_groups(groups, n)
+        assert part.cell_of.tolist() == cell_of.tolist()
+        assert part.cell_count == len(cells)
+        assert_same_members(part.cells, cells)
+        assert part == Prepartition.from_labels(cell_of)
+        rel = part.to_equiv()
+        class_of, classes = ref_to_equiv(cells, cell_of)
+        assert rel.class_of.tolist() == class_of.tolist()
+        assert_same_members(rel.classes, classes)
+
+    def test_errors(self):
+        with pytest.raises(IndexError, match="cell vertex out of range"):
+            Prepartition.from_cells([[0, 3]], 3)
+        with pytest.raises(IndexError, match="cell vertex out of range"):
+            Prepartition.from_cells([[-1, 0]], 3)
+        with pytest.raises(IndexError, match="class vertex out of range"):
+            EquivRel.from_classes([[0, 1], [2, 3]], 3)
+        with pytest.raises(ValueError, match="classes overlap"):
+            EquivRel.from_classes([[0, 1], [1, 2]], 3)
+        with pytest.raises(ValueError, match="classes must cover every vertex"):
+            EquivRel.from_classes([[0]], 2)
+
+    def test_identity_builds_no_classes_until_read(self):
+        rel = EquivRel.identity(5)
+        assert rel._classes is None
+        assert [c.tolist() for c in rel.classes] == [[0], [1], [2], [3], [4]]
 
 
 class TestEquivRel:
@@ -57,6 +161,9 @@ class TestPrepartition:
     def test_from_cells_disjointness(self):
         with pytest.raises(ValueError):
             Prepartition.from_cells([[0, 1], [1, 2]], 3)
+        # a vertex repeated inside one cell overlaps that cell
+        with pytest.raises(ValueError, match="cells must be pairwise disjoint"):
+            Prepartition.from_cells([[1, 1]], 3)
 
     def test_domain_and_equiv(self):
         p = Prepartition.from_cells([[1, 2]], 4)

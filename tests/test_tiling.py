@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from ergodic_tiler import EquivRel, ErgodicTiler, ModelBundle, ModelSpec, RhoMeasure, VertexFunction, build_graph
+from ergodic_tiler import (
+    EquivRel,
+    ErgodicTiler,
+    ModelBundle,
+    ModelSpec,
+    RhoMeasure,
+    VertexFunction,
+    build_graph,
+    generate_model,
+    run_tiling,
+)
 from ergodic_tiler.tiling import _stage_statistics
 
 
@@ -38,3 +48,27 @@ class TestSteepCocycle:
         )
         out = ErgodicTiler(max_stages=1).fit_transform(model)
         assert np.all(out == 0.25)
+
+
+CHAIN_MODELS = [
+    ModelSpec("rotation", 512),
+    ModelSpec("odometer", 9, p=0.4),
+    ModelSpec("bernoulli", 8, p=0.3, q=0.5),
+    ModelSpec("free_tree", 3),
+    ModelSpec("random_regular", 60, seed=1),
+]
+
+
+@pytest.mark.parametrize("spec", CHAIN_MODELS, ids=lambda s: f"{s.kind}-{s.n}")
+def test_relations_form_an_increasing_chain_of_connected_relations(spec):
+    model = generate_model(spec)
+    state, _ = run_tiling(model, eps=0.05, max_stages=8, raise_on_stall=False)
+    assert len(state.relations) == len(state.prepartitions) >= 1
+    for relation in state.relations:
+        assert relation.is_graph_connected(model.graph)
+    for finer, coarser in zip(state.relations, state.relations[1:]):
+        assert finer.refines(coarser)
+    # every tile built at a stage lies inside one class of that stage's relation
+    for part, relation in zip(state.prepartitions, state.relations):
+        for cell in part.cells:
+            assert np.unique(relation.class_of[cell]).size == 1
