@@ -276,14 +276,6 @@ def _exact_edge_cut_component(graph, members, nu, K):
 
     chosen = []
 
-    def feasible_sizes(cut_set):
-        uf = _UnionFind(len(members))
-        for e in edges:
-            if e not in cut_set:
-                if uf.union(idx[e[0]], idx[e[1]]) > K:
-                    return False
-        return True
-
     def recurse(i, cost, uf):
         nonlocal best_cost, best_cut
         if cost >= best_cost:
@@ -332,7 +324,7 @@ def _greedy_edge_cut_component(graph, members, nu, K):
         alive = np.delete(alive, best[1], axis=0)
 
 
-def edge_price(graph, nu=None, K=1, method="exact", mu=None):
+def edge_price(graph, nu=None, K=1, method="exact"):
     """Cheapest edge set whose deletion leaves pieces of at most K vertices.
 
     nu defaults to the uniform distribution on edges.

@@ -51,9 +51,6 @@ class WeightedGraph:
     def component_members(self, c):
         return np.flatnonzero(self.component_id == c)
 
-    def components(self):
-        return [self.component_members(c) for c in range(self.component_count)]
-
 
 def label_components(n, edges, keep=None):
     """Connected pieces of the graph on vertices 0..n-1 with the given edges.
@@ -113,12 +110,6 @@ class Cocycle:
 
     def ratio(self, x, y):
         return math.exp(self.log_weight[x] - self.log_weight[y])
-
-    def normalized_weights(self, anchor_log=None):
-        """exp(log_weight - anchor_log); defaults to the global max (values <= 1)."""
-        if anchor_log is None:
-            anchor_log = float(self.log_weight.max()) if self.log_weight.size else 0.0
-        return np.exp(self.log_weight - anchor_log)
 
     def component_normalized_weights(self, graph):
         """Weights divided by the max weight of their own component."""
@@ -220,9 +211,10 @@ def rho_order_key(cocycle, x):
     return (float(cocycle.log_weight[x]), -int(x))
 
 
-def rho_sorted(cocycle, vertices, descending=True):
+def rho_sorted(cocycle, vertices):
+    """Vertices in decreasing weight order, ties in increasing id order."""
     verts = [int(v) for v in vertices]
-    verts.sort(key=lambda v: rho_order_key(cocycle, v), reverse=descending)
+    verts.sort(key=lambda v: rho_order_key(cocycle, v), reverse=True)
     return verts
 
 

@@ -37,17 +37,29 @@ class SearchBudget:
 
 DEFAULT_BUDGET = SearchBudget()
 MAX_PASSES = 10_000
+MAX_ROUNDS = 64
 
 
 class CellFamily:
-    """Deterministic membership oracle over vertex sets."""
+    """Deterministic membership oracle over vertex sets.
+
+    values, when set, are the per-vertex values the growth search steers
+    toward balance with.
+    """
+
+    values = None
 
     def contains(self, graph, cocycle, vertices):
         raise NotImplementedError
 
-    def tracker(self, graph, cocycle):
-        """Incremental admission state for the growth search."""
-        raise NotImplementedError
+    def admits(self, mass, fdot, wmax):
+        """Cheap admission test from a candidate's running totals.
+
+        mass, fdot and wmax are the candidate's normalized mass, its
+        values-weighted mass and its heaviest normalized atom; the search
+        only offers candidates that pass this test to contains.
+        """
+        return True
 
 
 class ConnectedFamily(CellFamily):
@@ -56,9 +68,6 @@ class ConnectedFamily(CellFamily):
     def contains(self, graph, cocycle, vertices):
         v = as_vertex_array(vertices, graph.vertex_count)
         return v.size > 0 and is_connected_set(graph, v)
-
-    def tracker(self, graph, cocycle):
-        return _AlwaysAdmits()
 
 
 class CentralFamily(CellFamily):
@@ -80,39 +89,10 @@ class CentralFamily(CellFamily):
             return False
         return abs(weighted_average(self.values, cocycle, v)) < self.lam
 
-    def tracker(self, graph, cocycle):
-        return _CentralTracker(self.lam, self.min_ratio)
-
-
-class _AlwaysAdmits:
-    __slots__ = ()
-
-    def add(self, size, mass, fdot, wmax):
-        pass
-
-    def admits(self):
-        return True
-
-
-class _CentralTracker:
-    __slots__ = ("lam", "min_ratio", "mass", "fdot", "wmax")
-
-    def __init__(self, lam, min_ratio):
-        self.lam = lam
-        self.min_ratio = min_ratio
-        self.mass = 0.0
-        self.fdot = 0.0
-        self.wmax = 0.0
-
-    def add(self, size, mass, fdot, wmax):
-        self.mass += mass
-        self.fdot += fdot
-        self.wmax = max(self.wmax, wmax)
-
-    def admits(self):
-        if self.mass <= 0 or self.mass < self.min_ratio * self.wmax:
+    def admits(self, mass, fdot, wmax):
+        if mass <= 0 or mass < self.min_ratio * wmax:
             return False
-        return abs(self.fdot) < self.lam * self.mass
+        return abs(fdot) < self.lam * mass
 
 
 @dataclass(frozen=True)
@@ -153,101 +133,115 @@ def is_p_pack(graph, cocycle, prepart, A, p):
     )
 
 
-class _Builder:
-    """Mutable prepartition state; cells are immutable arrays keyed by id."""
+class _Search:
+    """A mutable prepartition and the candidate search over it.
 
-    def __init__(self, graph, cells=()):
-        self.n = graph.vertex_count
-        self.cells = {}
-        self.cell_of = np.full(self.n, -1, dtype=np.int64)
-        self.next_id = 0
-        for c in cells:
-            self.add(np.asarray(c, dtype=np.int64))
-
-    def add(self, vertices):
-        ci = self.next_id
-        self.next_id += 1
-        self.cells[ci] = vertices
-        self.cell_of[vertices] = ci
-        return ci
-
-    def remove(self, ci):
-        self.cell_of[self.cells[ci]] = -1
-        del self.cells[ci]
-
-    def apply(self, vertices):
-        """Install a new cell, absorbing every cell it intersects."""
-        for ci in np.unique(self.cell_of[vertices]):
-            if ci >= 0:
-                if not np.isin(self.cells[ci], vertices).all():
-                    raise InvariantBreach("candidate cuts an existing cell")
-                self.remove(int(ci))
-        return self.add(vertices)
-
-    def freeze(self):
-        return Prepartition.from_cells(list(self.cells.values()), self.n)
-
-
-class _SearchContext:
-    """Greedy candidate growth over free vertices and whole cells.
-
-    The state is a _Builder or a Prepartition: anything with cell_of and
-    cells[ci].
+    Cells are sorted vertex arrays under ids that are never reused, so the
+    per-cell stats cache cannot go stale. A unit is a free vertex or a whole
+    cell, named by its smallest vertex; head maps every vertex to its unit.
     """
 
-    def __init__(self, graph, cocycle, family, state, budget):
+    def __init__(self, graph, cocycle, family, budget, cells=()):
         self.graph = graph
         self.cocycle = cocycle
         self.family = family
-        self.state = state
         self.budget = budget
-        self.n = graph.vertex_count
+        n = graph.vertex_count
+        self.cell_of = np.full(n, -1, dtype=np.int64)
+        self.head = np.arange(n, dtype=np.int64)
+        self.cells = {}
+        self._stats = {}
+        self._next_id = 0
+        for c in cells:
+            self._install(c)
         self.nw = cocycle.component_normalized_weights(graph)
-        vals = getattr(family, "values", None)
-        self.fnw = self.nw * np.asarray(vals, dtype=float) if vals is not None else None
-        self._cell_stats = {}
+        self.fnw = None if family.values is None else self.nw * family.values
+        sizes = np.bincount(graph.component_id, minlength=graph.component_count)
+        self.small = sizes <= budget.exhaustive_limit
 
-    def unit_of(self, v):
-        ci = self.state.cell_of[v]
-        return self.n + int(ci) if ci >= 0 else int(v)
+    def _install(self, vertices):
+        ci = self._next_id
+        self._next_id += 1
+        self.cells[ci] = vertices
+        self.cell_of[vertices] = ci
+        self.head[vertices] = vertices[0]
+
+    def cuts_a_cell(self, vertices):
+        """True iff some cell meets the vertices without lying inside them."""
+        inside = self.cell_of[vertices]
+        inside = inside[inside >= 0]
+        return sum(len(self.cells[ci]) for ci in np.unique(inside).tolist()) != inside.size
+
+    def apply(self, vertices):
+        """Install a new cell, absorbing every cell it meets."""
+        if self.cuts_a_cell(vertices):
+            raise InvariantBreach("candidate cuts an existing cell")
+        for ci in np.unique(self.cell_of[vertices]).tolist():
+            if ci >= 0:
+                del self.cells[ci]
+        self._install(vertices)
+
+    def freeze(self):
+        return Prepartition.from_labels(self.cell_of)
 
     def unit_vertices(self, unit):
-        if unit >= self.n:
-            return self.state.cells[unit - self.n]
-        return (unit,)
+        ci = self.cell_of[unit]
+        return self.cells[ci] if ci >= 0 else (unit,)
 
     def unit_stats(self, unit):
-        if unit >= self.n:
-            ci = unit - self.n
-            st = self._cell_stats.get(ci)
-            if st is None:
-                cell = self.state.cells[ci]
-                fdot = float(self.fnw[cell].sum()) if self.fnw is not None else 0.0
-                st = (len(cell), float(self.nw[cell].sum()), fdot, float(self.nw[cell].max()))
-                self._cell_stats[ci] = st
-            return st
-        fdot = float(self.fnw[unit]) if self.fnw is not None else 0.0
-        return (1, float(self.nw[unit]), fdot, float(self.nw[unit]))
+        """(size, mass, values-weighted mass, heaviest atom) of one unit."""
+        ci = int(self.cell_of[unit])
+        if ci < 0:
+            fdot = float(self.fnw[unit]) if self.fnw is not None else 0.0
+            return (1, float(self.nw[unit]), fdot, float(self.nw[unit]))
+        st = self._stats.get(ci)
+        if st is None:
+            cell = self.cells[ci]
+            fdot = float(self.fnw[cell].sum()) if self.fnw is not None else 0.0
+            st = (len(cell), float(self.nw[cell].sum()), fdot, float(self.nw[cell].max()))
+            self._stats[ci] = st
+        return st
 
-    def unit_min_id(self, unit):
-        if unit >= self.n:
-            return int(self.state.cells[unit - self.n][0])
-        return unit
+    def candidates(self, comp, max_cells, p, anchor_at_cells, last=False):
+        """Oracle-verified candidates of one component.
 
-    def chain_candidates(self, anchor_unit, max_cells, p):
-        """Greedy connected growth from an anchor; yields admissible vertex sets.
+        A component within the exhaustive limit yields every candidate of
+        the complete search. A larger one yields, anchor by anchor in vertex
+        order, the first (or, with last, the last) verified snapshot of each
+        greedy chain. The stream is lazy, so a caller may apply a candidate
+        before the next chain grows. Cells anchor chains only when
+        anchor_at_cells is set.
+        """
+        members = self.graph.component_members(comp)
+        if self.small[comp]:
+            yield from self._exhaustive(members, max_cells, p)
+            return
+        for v in members.tolist():
+            if self.head[v] != v or (self.cell_of[v] >= 0 and not anchor_at_cells):
+                continue
+            snaps = self.chain(v, max_cells, p)
+            if last:
+                snaps = reversed(list(snaps))
+            for cand in snaps:
+                if self.family.contains(self.graph, self.cocycle, cand):
+                    yield cand
+                    break
+
+    def chain(self, anchor, max_cells, p):
+        """Greedy connected growth from an anchor unit; yields admissible vertex sets.
 
         The candidate's total vertex count on the current graph is capped at
         the budget's max_units, so repeated growth rounds cannot snowball a
         cell past the budget. max_cells caps how many existing cells may be
-        absorbed (None means unlimited). When p is not None, only candidates
-        whose fresh mass is at least p times their absorbed mass (and
-        positive) are yielded. Family admission uses the family's incremental
-        tracker; steering toward balance happens when the family has values.
+        absorbed (None means unlimited). Only candidates whose fresh mass is
+        positive and at least p times their absorbed mass, and which pass
+        the family's admits test, are yielded; growth steers toward balance
+        when the family has values.
         """
-        tracker = self.family.tracker(self.graph, self.cocycle)
         graph = self.graph
-        n = self.n
+        head = self.head
+        cell_of = self.cell_of
+        admits = self.family.admits
         cap = self.budget.max_units
         balance = self.fnw is not None
 
@@ -258,126 +252,122 @@ class _SearchContext:
         f_units = np.empty(cap * 8, dtype=np.int64)
         f_sizes = np.empty(cap * 8, dtype=np.int64)
         f_fdots = np.empty(cap * 8)
-        f_minid = np.empty(cap * 8, dtype=np.int64)
+        f_cell = np.empty(cap * 8, dtype=bool)
         f_active = np.zeros(cap * 8, dtype=bool)
         f_len = 0
+        mass = 0.0
         new_mass = 0.0
         old_mass = 0.0
-        cells_used = 0
         fsum = 0.0
+        wmax = 0.0
+        cells_used = 0
 
         def push_frontier(unit):
-            nonlocal f_len, f_units, f_sizes, f_fdots, f_minid, f_active
+            nonlocal f_len, f_units, f_sizes, f_fdots, f_cell, f_active
             if f_len == len(f_units):
-                f_units = np.concatenate([f_units, np.empty_like(f_units)])
-                f_sizes = np.concatenate([f_sizes, np.empty_like(f_sizes)])
-                f_fdots = np.concatenate([f_fdots, np.empty_like(f_fdots)])
-                f_minid = np.concatenate([f_minid, np.empty_like(f_minid)])
-                f_active = np.concatenate([f_active, np.zeros_like(f_active)])
-            size, mass, fdot, wmax = self.unit_stats(unit)
+                f_units, f_sizes, f_fdots, f_cell, f_active = (
+                    np.concatenate([a, np.zeros_like(a)])
+                    for a in (f_units, f_sizes, f_fdots, f_cell, f_active)
+                )
+            size, _, fdot, _ = self.unit_stats(unit)
             f_units[f_len] = unit
             f_sizes[f_len] = size
             f_fdots[f_len] = fdot
-            f_minid[f_len] = self.unit_min_id(unit)
+            f_cell[f_len] = cell_of[unit] >= 0
             f_active[f_len] = True
             f_pos[unit] = f_len
             f_len += 1
 
         def add_unit(unit):
-            nonlocal new_mass, old_mass, cells_used, fsum
+            nonlocal mass, new_mass, old_mass, fsum, wmax, cells_used
             in_units.add(unit)
             pos = f_pos.pop(unit, None)
             if pos is not None:
                 f_active[pos] = False
-            size, mass, fdot, wmax = self.unit_stats(unit)
-            tracker.add(size, mass, fdot, wmax)
+            _, umass, fdot, umax = self.unit_stats(unit)
+            mass += umass
             fsum += fdot
-            if unit >= n:
-                old_mass += mass
+            wmax = max(wmax, umax)
+            if cell_of[unit] >= 0:
+                old_mass += umass
                 cells_used += 1
             else:
-                new_mass += mass
+                new_mass += umass
             for v in self.unit_vertices(unit):
                 vertices.append(int(v))
                 for u in graph.neighbors(v):
-                    w_unit = self.unit_of(int(u))
+                    w_unit = int(head[u])
                     if w_unit in in_units or w_unit in f_pos:
                         continue
                     push_frontier(w_unit)
 
-        if self.unit_stats(anchor_unit)[0] > cap:
+        if self.unit_stats(anchor)[0] > cap:
             return
-        add_unit(anchor_unit)
+        add_unit(anchor)
         while True:
-            pack_ok = p is None or (new_mass > 0.0 and new_mass >= p * old_mass)
-            if pack_ok and tracker.admits():
+            if new_mass > 0.0 and new_mass >= p * old_mass and admits(mass, fsum, wmax):
                 yield np.array(sorted(vertices), dtype=np.int64)
             room = cap - len(vertices)
             if room <= 0 or not f_pos:
                 return
             mask = f_active[:f_len] & (f_sizes[:f_len] <= room)
             if max_cells is not None and cells_used >= max_cells:
-                mask &= f_units[:f_len] < n
+                mask &= ~f_cell[:f_len]
             idx = np.flatnonzero(mask)
             if idx.size == 0:
                 return
             if balance:
                 scores = np.abs(fsum + f_fdots[idx])
-                best = scores.min()
-                ties = idx[scores == best]
+                ties = idx[scores == scores.min()]
             else:
                 ties = idx
-            if ties.size == 1:
-                pick = int(f_units[ties[0]])
-            else:
-                pick = int(f_units[ties[np.argmin(f_minid[ties])]])
-            add_unit(pick)
+            # units are named by their smallest vertex, which breaks ties
+            add_unit(int(f_units[ties[0]] if ties.size == 1 else f_units[ties].min()))
 
+    def _exhaustive(self, members, max_cells, p):
+        """All connected invariant candidates of one small component that
+        pass the oracle, ordered by (smallest vertex, size, lexicographic
+        members)."""
+        units = np.unique(self.head[members]).tolist()
+        k = len(units)
+        pos = {u: i for i, u in enumerate(units)}
+        unit_adj = [set() for _ in range(k)]
+        for i, u in enumerate(units):
+            for v in self.unit_vertices(u):
+                for nb in self.graph.neighbors(v):
+                    j = pos[int(self.head[nb])]
+                    if j != i:
+                        unit_adj[i].add(j)
+        is_cell = [bool(self.cell_of[u] >= 0) for u in units]
+        masses = [self.unit_stats(u)[1] for u in units]
 
-def _exhaustive_candidates(ctx, comp, max_cells, p):
-    """All connected invariant candidates of one small component, ordered by
-    (smallest vertex, size, lexicographic members)."""
-    members = ctx.graph.component_members(comp)
-    units = sorted({ctx.unit_of(int(v)) for v in members}, key=ctx.unit_min_id)
-    k = len(units)
-    pos = {u: i for i, u in enumerate(units)}
-    unit_adj = [set() for _ in range(k)]
-    for i, u in enumerate(units):
-        for v in ctx.unit_vertices(u):
-            for nb in ctx.graph.neighbors(int(v)):
-                w_unit = ctx.unit_of(int(nb))
-                if w_unit != u:
-                    unit_adj[i].add(pos[w_unit])
-
-    found = []
-    for mask in range(1, 1 << k):
-        chosen = [i for i in range(k) if mask >> i & 1]
-        n_cells = sum(1 for i in chosen if units[i] >= ctx.n)
-        if max_cells is not None and n_cells > max_cells:
-            continue
-        csel = set(chosen)
-        seen = {chosen[0]}
-        stack = [chosen[0]]
-        while stack:
-            i = stack.pop()
-            for j in unit_adj[i]:
-                if j in csel and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if len(seen) != len(chosen):
-            continue
-        if p is not None:
-            new_mass = sum(ctx.unit_stats(units[i])[1] for i in chosen if units[i] < ctx.n)
-            old_mass = sum(ctx.unit_stats(units[i])[1] for i in chosen if units[i] >= ctx.n)
+        found = []
+        for mask in range(1, 1 << k):
+            chosen = [i for i in range(k) if mask >> i & 1]
+            if max_cells is not None and sum(is_cell[i] for i in chosen) > max_cells:
+                continue
+            csel = set(chosen)
+            seen = {chosen[0]}
+            stack = [chosen[0]]
+            while stack:
+                i = stack.pop()
+                for j in unit_adj[i]:
+                    if j in csel and j not in seen:
+                        seen.add(j)
+                        stack.append(j)
+            if len(seen) != len(chosen):
+                continue
+            new_mass = sum(masses[i] for i in chosen if not is_cell[i])
+            old_mass = sum(masses[i] for i in chosen if is_cell[i])
             if new_mass <= 0.0 or new_mass < p * old_mass:
                 continue
-        cand = np.array(
-            sorted(int(v) for i in chosen for v in ctx.unit_vertices(units[i])), dtype=np.int64
-        )
-        if ctx.family.contains(ctx.graph, ctx.cocycle, cand):
-            found.append(cand)
-    found.sort(key=lambda a: (int(a[0]), len(a), tuple(int(x) for x in a)))
-    return found
+            cand = np.array(
+                sorted(int(v) for i in chosen for v in self.unit_vertices(units[i])), dtype=np.int64
+            )
+            if self.family.contains(self.graph, self.cocycle, cand):
+                found.append(cand)
+        found.sort(key=lambda a: (int(a[0]), len(a), tuple(int(x) for x in a)))
+        return found
 
 
 def find_pack(graph, cocycle, family, prepart, p, budget=DEFAULT_BUDGET, injective=False):
@@ -387,54 +377,16 @@ def find_pack(graph, cocycle, family, prepart, p, budget=DEFAULT_BUDGET, injecti
     Every candidate has passed the family oracle once; a returned pack is
     re-checked against the mass condition and always carries fresh mass.
     """
-    ctx = _SearchContext(graph, cocycle, family, prepart, budget)
+    search = _Search(graph, cocycle, family, budget, prepart.cells)
     max_cells = 1 if injective else None
-    comp_sizes = np.bincount(graph.component_id, minlength=graph.component_count)
-
     for comp in range(graph.component_count):
-        if comp_sizes[comp] <= budget.exhaustive_limit:
-            candidates = _exhaustive_candidates(ctx, comp, max_cells, p)
-        else:
-            candidates = _greedy_component_candidates(ctx, comp, max_cells, p, injective)
-        for cand in candidates:
+        for cand in search.candidates(comp, max_cells, p, anchor_at_cells=injective):
             cert = is_p_pack(graph, cocycle, prepart, cand, p)
             if cert is None or cert.new_mass <= 0.0:
                 continue
             if injective and len(cert.absorbed_cells) > 1:
                 continue
             return cert
-    return None
-
-
-def _greedy_component_candidates(ctx, comp, max_cells, p, anchor_at_cells, last=False):
-    members = ctx.graph.component_members(comp)
-    seen_units = set()
-    out = []
-    for v in members:
-        unit = ctx.unit_of(int(v))
-        if unit in seen_units:
-            continue
-        seen_units.add(unit)
-        if unit >= ctx.n and not anchor_at_cells:
-            continue
-        cand = _chain_pick(ctx, unit, max_cells, p, last=last)
-        if cand is not None:
-            out.append(cand)
-    return out
-
-
-def _chain_pick(ctx, unit, max_cells, p, last):
-    """First or last oracle-verified admissible snapshot of one greedy chain."""
-    snaps = []
-    for cand in ctx.chain_candidates(unit, max_cells=max_cells, p=p):
-        if not last:
-            if ctx.family.contains(ctx.graph, ctx.cocycle, cand):
-                return cand
-            continue
-        snaps.append(cand)
-    for cand in reversed(snaps):
-        if ctx.family.contains(ctx.graph, ctx.cocycle, cand):
-            return cand
     return None
 
 
@@ -448,28 +400,21 @@ def packed(graph, cocycle, family, p, budget=DEFAULT_BUDGET):
     """
     if not p > 0:
         raise ValueError("p must be positive")
-    builder = _Builder(graph)
-    comp_sizes = np.bincount(graph.component_id, minlength=graph.component_count)
-
+    search = _Search(graph, cocycle, family, budget)
     for _ in range(MAX_PASSES):
         changed = False
-        ctx = _SearchContext(graph, cocycle, family, builder, budget)
         for comp in range(graph.component_count):
-            if comp_sizes[comp] <= budget.exhaustive_limit:
-                while cands := _exhaustive_candidates(ctx, comp, None, p):
-                    builder.apply(cands[0])
-                    ctx._cell_stats.clear()
+            if search.small[comp]:
+                # apply the first complete-search candidate, then enumerate again
+                while (cand := next(search.candidates(comp, None, p, False), None)) is not None:
+                    search.apply(cand)
                     changed = True
-                continue
-            for v in graph.component_members(comp):
-                if builder.cell_of[v] >= 0:
-                    continue
-                cand = _chain_pick(ctx, int(v), None, p, last=True)
-                if cand is not None:
-                    builder.apply(cand)
+            else:
+                for cand in search.candidates(comp, None, p, False, last=True):
+                    search.apply(cand)
                     changed = True
         if not changed:
-            return builder.freeze()
+            return search.freeze()
     raise InvariantBreach("packing failed to stabilize within the pass cap")
 
 
@@ -481,42 +426,33 @@ def saturate(graph, cocycle, family, prepart, budget=DEFAULT_BUDGET):
     collected growths are applied biggest mass gain first, smallest leading
     vertex breaking ties; stale proposals are dropped and retried next pass.
     """
-    builder = _Builder(graph, cells=prepart.cells)
-    nw = cocycle.component_normalized_weights(graph)
-    comp_sizes = np.bincount(graph.component_id, minlength=graph.component_count)
+    search = _Search(graph, cocycle, family, budget, prepart.cells)
+
+    def gain_key(cand):
+        free = cand[search.cell_of[cand] < 0]
+        return (-float(search.nw[free].sum()), int(cand[0]), tuple(int(x) for x in cand))
 
     for _ in range(MAX_PASSES):
-        current = builder.freeze()
-        ctx = _SearchContext(graph, cocycle, family, current, budget)
-        proposals = []
-        for comp in range(graph.component_count):
-            if comp_sizes[comp] <= budget.exhaustive_limit:
-                proposals.extend(_exhaustive_candidates(ctx, comp, max_cells=1, p=0.0))
-            else:
-                proposals.extend(_greedy_component_candidates(ctx, comp, 1, 0.0, True, last=True))
-        if not proposals:
-            return current
-
-        def gain_key(cand):
-            free = cand[current.cell_of[cand] < 0]
-            return (-float(nw[free].sum()), int(cand[0]), tuple(int(x) for x in cand))
-
+        proposals = [
+            cand
+            for comp in range(graph.component_count)
+            for cand in search.candidates(comp, 1, 0.0, anchor_at_cells=True, last=True)
+        ]
         applied = False
+        # keys are all taken before the first growth is applied
         for cand in sorted(proposals, key=gain_key):
-            inside_now = builder.cell_of[cand]
-            touched = [int(ci) for ci in np.unique(inside_now) if ci >= 0]
-            if len(touched) > 1 or not np.any(inside_now < 0):
+            # stale unless it still meets free vertices and at most one cell
+            labels = np.unique(search.cell_of[cand])
+            if labels[0] >= 0 or labels.size > 2 or search.cuts_a_cell(cand):
                 continue
-            if any(not np.isin(builder.cells[ci], cand).all() for ci in touched):
-                continue
-            builder.apply(cand)
+            search.apply(cand)
             applied = True
         if not applied:
-            return builder.freeze()
+            return search.freeze()
     raise InvariantBreach("saturation failed to stabilize within the pass cap")
 
 
-def packed_and_saturated(graph, cocycle, family, p, budget=DEFAULT_BUDGET, max_rounds=64):
+def packed_and_saturated(graph, cocycle, family, p, budget=DEFAULT_BUDGET):
     """Prepartition that is simultaneously p-packed and saturated in the family.
 
     Packs are installed at p/2 first; saturation then grows cells, which keeps
@@ -526,14 +462,15 @@ def packed_and_saturated(graph, cocycle, family, p, budget=DEFAULT_BUDGET, max_r
     if not p > 0:
         raise ValueError("p must be positive")
     current = packed(graph, cocycle, family, p / 2.0, budget)
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         current = saturate(graph, cocycle, family, current, budget)
         cert = find_pack(graph, cocycle, family, current, p, budget)
         if cert is None:
             return current
-        builder = _Builder(graph, cells=current.cells)
-        builder.apply(cert.vertices)
-        current = builder.freeze()
+        # a pack cuts no cell, so one new label absorbs every cell it meets
+        labels = current.cell_of.copy()
+        labels[cert.vertices] = current.cell_count
+        current = Prepartition.from_labels(labels)
     raise InvariantBreach("packed_and_saturated failed to reach a joint fixpoint")
 
 

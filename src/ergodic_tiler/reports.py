@@ -54,16 +54,16 @@ def _fmt(x):
     return repr(float(x))
 
 
-def emit_report(report, out_dir, stable_timing=True, basename="report"):
-    """Write <basename>.csv and <basename>.json under out_dir; returns the paths.
+def emit_report(report, out_dir, stable_timing=True):
+    """Write report.csv and report.json under out_dir; returns the paths.
 
     In stable-timing mode (the default) the CSV's wall_ms column is zeroed so
     identical configurations and seeds reproduce the file byte for byte;
     measured times are always present in the JSON summary.
     """
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"{basename}.csv")
-    json_path = os.path.join(out_dir, f"{basename}.json")
+    csv_path = os.path.join(out_dir, "report.csv")
+    json_path = os.path.join(out_dir, "report.json")
 
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")

@@ -160,7 +160,7 @@ def _spill_check(graph, cocycle, part, relation, covered_mask, components):
     return checks
 
 
-def run_tiling(model, eps, max_stages=12, budget=None, raise_on_stall=True):
+def run_tiling(model, eps, max_stages=12, raise_on_stall=True):
     """Drive the staged tiling loop on a generated model.
 
     Stops as soon as tiles within eps of the global mean carry mass 1 - eps,
@@ -194,12 +194,9 @@ def run_tiling(model, eps, max_stages=12, budget=None, raise_on_stall=True):
 
     for stage in range(1, max_stages + 1):
         t0 = time.perf_counter()
-        if budget is None:
-            # a candidate's unit count bounds its mass ratio, so the cap must
-            # track the stage's ratio floor
-            stage_budget = SearchBudget(max_units=int(min(max(128, 4 * ratios[stage]), 4096)))
-        else:
-            stage_budget = budget
+        # a candidate's unit count bounds its mass ratio, so the cap must
+        # track the stage's ratio floor
+        stage_budget = SearchBudget(max_units=int(min(max(128, 4 * ratios[stage]), 4096)))
         if ratios[stage] > stage_budget.max_units:
             state.status = "stalled"
             report.diagnostics = {
@@ -263,7 +260,7 @@ def run_tiling(model, eps, max_stages=12, budget=None, raise_on_stall=True):
     return state, report
 
 
-def ratio_experiment(model, g, eps, max_stages=12, budget=None, f=None, raise_on_stall=True):
+def ratio_experiment(model, g, eps, max_stages=12, f=None, raise_on_stall=True):
     """Tile under the g-rescaled weights and report the two-function ratio
     statistic against the quotient of the global means.
 
@@ -293,7 +290,7 @@ def ratio_experiment(model, g, eps, max_stages=12, budget=None, f=None, raise_on
         frontier=model.frontier,
         raw_mean=0.0,
     )
-    state, inner = run_tiling(rescaled, eps, max_stages, budget, raise_on_stall)
+    state, inner = run_tiling(rescaled, eps, max_stages, raise_on_stall)
 
     target_ratio = float(np.dot(model.measure.atoms, farr)) / total_g
     report = _new_report(model, eps, max_stages, target_ratio)
@@ -314,14 +311,12 @@ class ErgodicTiler:
     observable over the learned tiles.
     """
 
-    def __init__(self, eps=0.05, max_stages=12, exhaustive_limit=12, max_units=64, raise_on_stall=False):
+    def __init__(self, eps=0.05, max_stages=12, raise_on_stall=False):
         self.eps = eps
         self.max_stages = max_stages
-        self.exhaustive_limit = exhaustive_limit
-        self.max_units = max_units
         self.raise_on_stall = raise_on_stall
 
-    _param_names = ("eps", "max_stages", "exhaustive_limit", "max_units", "raise_on_stall")
+    _param_names = ("eps", "max_stages", "raise_on_stall")
 
     def get_params(self, deep=True):
         return {name: getattr(self, name) for name in self._param_names}
@@ -334,13 +329,8 @@ class ErgodicTiler:
         return self
 
     def fit(self, model):
-        budget = SearchBudget(exhaustive_limit=self.exhaustive_limit, max_units=self.max_units)
         state, report = run_tiling(
-            model,
-            eps=self.eps,
-            max_stages=self.max_stages,
-            budget=budget,
-            raise_on_stall=self.raise_on_stall,
+            model, eps=self.eps, max_stages=self.max_stages, raise_on_stall=self.raise_on_stall
         )
         self.model_ = model
         self.state_ = state

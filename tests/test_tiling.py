@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from ergodic_tiler import (
     RhoMeasure,
     VertexFunction,
     build_graph,
+    emit_report,
     generate_model,
     run_tiling,
 )
@@ -72,3 +75,41 @@ def test_relations_form_an_increasing_chain_of_connected_relations(spec):
     for part, relation in zip(state.prepartitions, state.relations):
         for cell in part.cells:
             assert np.unique(relation.class_of[cell]).size == 1
+
+
+def output_digest(state, report, workdir):
+    """sha256 over the stable-timing CSV plus every stage's prepartition dump."""
+    digest = hashlib.sha256()
+    with open(emit_report(report, workdir, stable_timing=True)[0], "rb") as fh:
+        digest.update(fh.read())
+    cells_path = workdir / "cells.txt"
+    for stage, part in enumerate(state.prepartitions, 1):
+        part.dump(cells_path)
+        digest.update(b"stage %d\n" % stage)
+        digest.update(cells_path.read_bytes())
+    return digest.hexdigest()
+
+
+# any change to the tiling output shows here; update a value only when the
+# output is meant to change
+GOLDEN_DIGESTS = {
+    "rotation-512": "8e983bdf1fbc0a1071afc18a0d09490aa3d17a73f8ccd1b2e3e78c8c0e46e418",
+    "odometer-9": "24f4ef65cfdccf18a4de8a60183f384d396ffd9998fa4f545b60b3c42c9e6542",
+    "bernoulli-8": "df3f8de436dc993e404bca87ea6d321afb30f863b72fe4d26c0ea18b7706b5d5",
+    "free_tree-3": "9ba9f36b87e82fc2c7914a5a105f935fa986212e5db9b6b4a588618b1bc98705",
+    "random_regular-60": "b068662ae189a8866bbf058a64c411320b3f171d056d02e0d3f41f6108b8feda",
+}
+
+
+@pytest.mark.parametrize("spec", CHAIN_MODELS, ids=lambda s: f"{s.kind}-{s.n}")
+def test_same_seed_gives_byte_identical_output(spec, tmp_path):
+    state, report = run_tiling(generate_model(spec), eps=0.05, max_stages=8, raise_on_stall=False)
+    assert output_digest(state, report, tmp_path) == GOLDEN_DIGESTS[f"{spec.kind}-{spec.n}"]
+
+
+def test_estimator_fits_the_run_tiling_chain():
+    model = generate_model(ModelSpec("random_regular", 120, seed=1))
+    state, report = run_tiling(model, eps=0.05, max_stages=12, raise_on_stall=False)
+    tiler = ErgodicTiler(eps=0.05, max_stages=12).fit(model)
+    assert tiler.report_.status == report.status
+    assert np.array_equal(tiler.labels_, state.relations[-1].class_of)
