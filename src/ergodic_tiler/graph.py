@@ -123,30 +123,43 @@ class Cocycle:
 def build_graph(edges, log_weights):
     """Build a simple symmetric graph with its component labels.
 
-    Rejects self-loops, duplicate edges (in either orientation), endpoints out
-    of range, and non-finite weights.
+    Rejects edges that are not vertex pairs, self-loops, duplicate edges (in
+    either orientation), endpoints out of range, and non-finite weights; the
+    message names the first offending edge in input order.
     """
     lw = np.asarray(log_weights, dtype=float)
     n = len(lw)
     if n and not np.all(np.isfinite(lw)):
         raise MalformedGraph("log-weights must be finite")
 
-    seen = set()
-    norm = []
-    for e in edges:
-        u, v = int(e[0]), int(e[1])
+    try:
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    except OverflowError:
+        raise MalformedGraph(f"edge endpoint out of range for {n} vertices") from None
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    elif pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise MalformedGraph("edges must be vertex pairs")
+    keys = np.sort(pairs, axis=1)
+    # every edge before the first self-loop or out-of-range edge lies in
+    # range, so its key codes as lo * n + hi; a stable sort puts each
+    # repeated code after its first occurrence
+    bad = np.flatnonzero((keys[:, 0] == keys[:, 1]) | (keys[:, 0] < 0) | (keys[:, 1] >= n))
+    stop = int(bad[0]) if bad.size else len(keys)
+    codes = keys[:stop, 0] * n + keys[:stop, 1]
+    by_code = np.argsort(codes, kind="stable")
+    repeats = by_code[1:][codes[by_code[1:]] == codes[by_code[:-1]]]
+    if repeats.size:
+        u, v = keys[repeats.min()].tolist()
+        raise MalformedGraph(f"duplicate edge {(u, v)}")
+    if stop < len(keys):
+        u, v = pairs[stop].tolist()
         if u == v:
             raise MalformedGraph(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise MalformedGraph(f"edge ({u}, {v}) endpoint out of range for {n} vertices")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise MalformedGraph(f"duplicate edge {key}")
-        seen.add(key)
-        norm.append(key)
+        raise MalformedGraph(f"edge ({u}, {v}) endpoint out of range for {n} vertices")
 
-    if norm:
-        earr = np.array(sorted(norm), dtype=np.int64)
+    if len(keys):
+        earr = keys[by_code]
         both = np.concatenate([earr, earr[:, ::-1]])
         order = np.lexsort((both[:, 1], both[:, 0]))
         both = both[order]

@@ -6,6 +6,11 @@ given family. Saturation additionally forbids growing any single cell inside
 the family. Both are driven by one deterministic candidate search: greedy
 connected growth from an anchor, absorbing whole cells when touched, with
 full enumeration taking over on small components.
+
+Each public call builds one search object and runs all of its work on it;
+packed_and_saturated runs its packing, saturation and re-check rounds on a
+single search, so a greedy chain known to admit nothing is not grown again
+until a cell is installed.
 """
 
 from __future__ import annotations
@@ -136,9 +141,17 @@ def is_p_pack(graph, cocycle, prepart, A, p):
 class _Search:
     """A mutable prepartition and the candidate search over it.
 
-    Cells are sorted vertex arrays under ids that are never reused, so the
+    Each public entry point builds one search and runs all of its passes and
+    rounds on it through pack, saturate and find_pack. Cells are sorted vertex arrays under ids that are never reused, so the
     per-cell stats cache cannot go stale. A unit is a free vertex or a whole
     cell, named by its smallest vertex; head maps every vertex to its unit.
+
+    dead holds the anchors whose last greedy chain ran to its end, absorbed
+    no cell and had no snapshot with fresh mass that passed family.admits.
+    Such a chain never consulted p (its absorbed mass stayed zero) nor a
+    max_cells of at least one, so it yields nothing for any of them and
+    candidates skips its anchor. Installing a cell can change how every
+    chain grows, so apply empties the set.
     """
 
     def __init__(self, graph, cocycle, family, budget, cells=()):
@@ -152,6 +165,7 @@ class _Search:
         self.cells = {}
         self._stats = {}
         self._next_id = 0
+        self.dead = set()
         for c in cells:
             self._install(c)
         self.nw = cocycle.component_normalized_weights(graph)
@@ -180,6 +194,7 @@ class _Search:
             if ci >= 0:
                 del self.cells[ci]
         self._install(vertices)
+        self.dead.clear()
 
     def freeze(self):
         return Prepartition.from_labels(self.cell_of)
@@ -210,33 +225,39 @@ class _Search:
         order, the first (or, with last, the last) verified snapshot of each
         greedy chain. The stream is lazy, so a caller may apply a candidate
         before the next chain grows. Cells anchor chains only when
-        anchor_at_cells is set.
+        anchor_at_cells is set, and dead anchors anchor none.
         """
         members = self.graph.component_members(comp)
         if self.small[comp]:
             yield from self._exhaustive(members, max_cells, p)
             return
         for v in members.tolist():
-            if self.head[v] != v or (self.cell_of[v] >= 0 and not anchor_at_cells):
+            if self.head[v] != v or (self.cell_of[v] >= 0 and not anchor_at_cells) or v in self.dead:
                 continue
-            snaps = self.chain(v, max_cells, p)
+            grown = []
+            sizes = self.chain(v, max_cells, p, grown)
             if last:
-                snaps = reversed(list(snaps))
-            for cand in snaps:
+                # the whole chain grows first; a vertex set is sorted only
+                # once the oracle asks for it, which is mostly the last one
+                sizes = reversed(list(sizes))
+            for size in sizes:
+                cand = np.array(sorted(grown[:size]), dtype=np.int64)
                 if self.family.contains(self.graph, self.cocycle, cand):
                     yield cand
                     break
 
-    def chain(self, anchor, max_cells, p):
-        """Greedy connected growth from an anchor unit; yields admissible vertex sets.
+    def chain(self, anchor, max_cells, p, vertices):
+        """Greedy connected growth from an anchor unit; yields admissible prefix lengths.
 
         The candidate's total vertex count on the current graph is capped at
         the budget's max_units, so repeated growth rounds cannot snowball a
         cell past the budget. max_cells caps how many existing cells may be
         absorbed (None means unlimited). Only candidates whose fresh mass is
         positive and at least p times their absorbed mass, and which pass
-        the family's admits test, are yielded; growth steers toward balance
-        when the family has values.
+        the family's admits test, are yielded, as the length of the prefix
+        of vertices, the list the growth appends to; growth steers toward
+        balance when the family has values. A chain that runs to its end
+        without absorbing a cell or yielding marks its anchor dead.
         """
         graph = self.graph
         head = self.head
@@ -246,7 +267,6 @@ class _Search:
         balance = self.fnw is not None
 
         in_units = set()
-        vertices = []
         # frontier stored as parallel arrays for vectorized selection
         f_pos = {}
         f_units = np.empty(cap * 8, dtype=np.int64)
@@ -304,18 +324,20 @@ class _Search:
         if self.unit_stats(anchor)[0] > cap:
             return
         add_unit(anchor)
+        yielded = False
         while True:
             if new_mass > 0.0 and new_mass >= p * old_mass and admits(mass, fsum, wmax):
-                yield np.array(sorted(vertices), dtype=np.int64)
+                yielded = True
+                yield len(vertices)
             room = cap - len(vertices)
             if room <= 0 or not f_pos:
-                return
+                break
             mask = f_active[:f_len] & (f_sizes[:f_len] <= room)
             if max_cells is not None and cells_used >= max_cells:
                 mask &= ~f_cell[:f_len]
             idx = np.flatnonzero(mask)
             if idx.size == 0:
-                return
+                break
             if balance:
                 scores = np.abs(fsum + f_fdots[idx])
                 ties = idx[scores == scores.min()]
@@ -323,6 +345,8 @@ class _Search:
                 ties = idx
             # units are named by their smallest vertex, which breaks ties
             add_unit(int(f_units[ties[0]] if ties.size == 1 else f_units[ties].min()))
+        if not yielded and cells_used == 0:
+            self.dead.add(anchor)
 
     def _exhaustive(self, members, max_cells, p):
         """All connected invariant candidates of one small component that
@@ -369,6 +393,66 @@ class _Search:
         found.sort(key=lambda a: (int(a[0]), len(a), tuple(int(x) for x in a)))
         return found
 
+    def pack(self, p):
+        """Apply p-packs until a pass finds none; see packed."""
+        for _ in range(MAX_PASSES):
+            changed = False
+            for comp in range(self.graph.component_count):
+                if self.small[comp]:
+                    # apply the first complete-search candidate, then enumerate again
+                    while (cand := next(self.candidates(comp, None, p, False), None)) is not None:
+                        self.apply(cand)
+                        changed = True
+                else:
+                    for cand in self.candidates(comp, None, p, False, last=True):
+                        self.apply(cand)
+                        changed = True
+            if not changed:
+                return
+        raise InvariantBreach("packing failed to stabilize within the pass cap")
+
+    def saturate(self):
+        """Apply injective family growths until a pass finds none; see saturate."""
+
+        def gain_key(cand):
+            free = cand[self.cell_of[cand] < 0]
+            return (-float(self.nw[free].sum()), int(cand[0]), tuple(int(x) for x in cand))
+
+        for _ in range(MAX_PASSES):
+            proposals = [
+                cand
+                for comp in range(self.graph.component_count)
+                for cand in self.candidates(comp, 1, 0.0, anchor_at_cells=True, last=True)
+            ]
+            applied = False
+            # keys are all taken before the first growth is applied
+            for cand in sorted(proposals, key=gain_key):
+                # stale unless it still meets free vertices and at most one cell
+                labels = np.unique(self.cell_of[cand])
+                if labels[0] >= 0 or labels.size > 2 or self.cuts_a_cell(cand):
+                    continue
+                self.apply(cand)
+                applied = True
+            if not applied:
+                return
+        raise InvariantBreach("saturation failed to stabilize within the pass cap")
+
+    def find_pack(self, p, injective=False):
+        """First pack over the current cells, or None; see find_pack."""
+        max_cells = 1 if injective else None
+        prepart = None
+        for comp in range(self.graph.component_count):
+            for cand in self.candidates(comp, max_cells, p, anchor_at_cells=injective):
+                if prepart is None:
+                    prepart = self.freeze()
+                cert = is_p_pack(self.graph, self.cocycle, prepart, cand, p)
+                if cert is None or cert.new_mass <= 0.0:
+                    continue
+                if injective and len(cert.absorbed_cells) > 1:
+                    continue
+                return cert
+        return None
+
 
 def find_pack(graph, cocycle, family, prepart, p, budget=DEFAULT_BUDGET, injective=False):
     """First pack over the prepartition found within the family, or None.
@@ -377,17 +461,7 @@ def find_pack(graph, cocycle, family, prepart, p, budget=DEFAULT_BUDGET, injecti
     Every candidate has passed the family oracle once; a returned pack is
     re-checked against the mass condition and always carries fresh mass.
     """
-    search = _Search(graph, cocycle, family, budget, prepart.cells)
-    max_cells = 1 if injective else None
-    for comp in range(graph.component_count):
-        for cand in search.candidates(comp, max_cells, p, anchor_at_cells=injective):
-            cert = is_p_pack(graph, cocycle, prepart, cand, p)
-            if cert is None or cert.new_mass <= 0.0:
-                continue
-            if injective and len(cert.absorbed_cells) > 1:
-                continue
-            return cert
-    return None
+    return _Search(graph, cocycle, family, budget, prepart.cells).find_pack(p, injective)
 
 
 def packed(graph, cocycle, family, p, budget=DEFAULT_BUDGET):
@@ -401,21 +475,8 @@ def packed(graph, cocycle, family, p, budget=DEFAULT_BUDGET):
     if not p > 0:
         raise ValueError("p must be positive")
     search = _Search(graph, cocycle, family, budget)
-    for _ in range(MAX_PASSES):
-        changed = False
-        for comp in range(graph.component_count):
-            if search.small[comp]:
-                # apply the first complete-search candidate, then enumerate again
-                while (cand := next(search.candidates(comp, None, p, False), None)) is not None:
-                    search.apply(cand)
-                    changed = True
-            else:
-                for cand in search.candidates(comp, None, p, False, last=True):
-                    search.apply(cand)
-                    changed = True
-        if not changed:
-            return search.freeze()
-    raise InvariantBreach("packing failed to stabilize within the pass cap")
+    search.pack(p)
+    return search.freeze()
 
 
 def saturate(graph, cocycle, family, prepart, budget=DEFAULT_BUDGET):
@@ -427,29 +488,8 @@ def saturate(graph, cocycle, family, prepart, budget=DEFAULT_BUDGET):
     vertex breaking ties; stale proposals are dropped and retried next pass.
     """
     search = _Search(graph, cocycle, family, budget, prepart.cells)
-
-    def gain_key(cand):
-        free = cand[search.cell_of[cand] < 0]
-        return (-float(search.nw[free].sum()), int(cand[0]), tuple(int(x) for x in cand))
-
-    for _ in range(MAX_PASSES):
-        proposals = [
-            cand
-            for comp in range(graph.component_count)
-            for cand in search.candidates(comp, 1, 0.0, anchor_at_cells=True, last=True)
-        ]
-        applied = False
-        # keys are all taken before the first growth is applied
-        for cand in sorted(proposals, key=gain_key):
-            # stale unless it still meets free vertices and at most one cell
-            labels = np.unique(search.cell_of[cand])
-            if labels[0] >= 0 or labels.size > 2 or search.cuts_a_cell(cand):
-                continue
-            search.apply(cand)
-            applied = True
-        if not applied:
-            return search.freeze()
-    raise InvariantBreach("saturation failed to stabilize within the pass cap")
+    search.saturate()
+    return search.freeze()
 
 
 def packed_and_saturated(graph, cocycle, family, p, budget=DEFAULT_BUDGET):
@@ -457,20 +497,20 @@ def packed_and_saturated(graph, cocycle, family, p, budget=DEFAULT_BUDGET):
 
     Packs are installed at p/2 first; saturation then grows cells, which keeps
     the result packed at any threshold above p/2. If the budgeted search still
-    finds a p-pack afterwards it is applied and the round repeats.
+    finds a p-pack afterwards it is applied and the round repeats. All rounds
+    run on one search.
     """
     if not p > 0:
         raise ValueError("p must be positive")
-    current = packed(graph, cocycle, family, p / 2.0, budget)
+    search = _Search(graph, cocycle, family, budget)
+    search.pack(p / 2.0)
     for _ in range(MAX_ROUNDS):
-        current = saturate(graph, cocycle, family, current, budget)
-        cert = find_pack(graph, cocycle, family, current, p, budget)
+        search.saturate()
+        cert = search.find_pack(p)
         if cert is None:
-            return current
-        # a pack cuts no cell, so one new label absorbs every cell it meets
-        labels = current.cell_of.copy()
-        labels[cert.vertices] = current.cell_count
-        current = Prepartition.from_labels(labels)
+            return search.freeze()
+        # a pack cuts no cell, so it absorbs every cell it meets
+        search.apply(cert.vertices)
     raise InvariantBreach("packed_and_saturated failed to reach a joint fixpoint")
 
 

@@ -22,8 +22,6 @@ from .partition import EquivRel, Prepartition
 from .reports import ConvergenceReport
 from .validation import as_values_array, check_positive, check_unit_interval
 
-SPILL_FRACTION = 2.0 / 13.0
-
 
 @dataclass(frozen=True)
 class ReductionResult:
@@ -86,7 +84,6 @@ class TilingState:
     relations: list = field(default_factory=list)
     status: str = "empty"
     stall_components: tuple = ()
-    spill_checks: list = field(default_factory=list)
 
 
 def _stage_statistics(cocycle, mu, f, relation, target, eps, frontier, g=None):
@@ -123,41 +120,6 @@ def _new_report(model, eps, max_stages, target):
         seed=model.spec.seed,
         target_mean=target,
     )
-
-
-def _spill_check(graph, cocycle, part, relation, covered_mask, components):
-    """Fraction test on stalled components: cells against the classes touching
-    the covered-side boundary of the stuck region."""
-    nw = cocycle.component_normalized_weights(graph)
-    boundary = set()
-    for v in np.flatnonzero(covered_mask):
-        for u in graph.neighbors(int(v)):
-            if not covered_mask[u]:
-                boundary.add(int(v))
-                break
-    if not boundary:
-        return []
-    s_classes = {int(relation.class_of[v]) for v in boundary}
-    in_s = np.isin(relation.class_of, list(s_classes))
-    checks = []
-    comp_set = set(components)
-    for cell in part.cells:
-        comp = int(graph.component_id[cell[0]])
-        if comp not in comp_set:
-            continue
-        inside = float(nw[cell[in_s[cell]]].sum())
-        outside = float(nw[cell[~in_s[cell]]].sum())
-        ok = outside >= SPILL_FRACTION * inside
-        checks.append(
-            {
-                "cell_anchor": int(cell[0]),
-                "component": comp,
-                "inside_mass": inside,
-                "outside_mass": outside,
-                "ok": bool(ok),
-            }
-        )
-    return checks
 
 
 def run_tiling(model, eps, max_stages=12, raise_on_stall=True):
@@ -240,11 +202,7 @@ def run_tiling(model, eps, max_stages=12, raise_on_stall=True):
             )
             state.status = "stalled"
             state.stall_components = stalled_comps
-            state.spill_checks = _spill_check(graph, cocycle, part, relation, covered, stalled_comps)
-            report.diagnostics = {
-                "stall_components": list(stalled_comps),
-                "spill_checks": state.spill_checks,
-            }
+            report.diagnostics = {"stall_components": list(stalled_comps)}
             if raise_on_stall:
                 raise StallDiagnostic(
                     f"no progress at stage {stage}; components {stalled_comps} are stuck",

@@ -77,6 +77,87 @@ class TestBuildGraph:
         assert g.neighbors(0).tolist() == [2]
 
 
+def loop_build_graph(edges, n):
+    """Reference: build_graph's arrays from its former per-edge validation loop.
+
+    Returns (indptr, indices, component_id, edges) or raises MalformedGraph.
+    """
+    seen = set()
+    norm = []
+    for e in edges:
+        u, v = int(e[0]), int(e[1])
+        if u == v:
+            raise MalformedGraph(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise MalformedGraph(f"edge ({u}, {v}) endpoint out of range for {n} vertices")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise MalformedGraph(f"duplicate edge {key}")
+        seen.add(key)
+        norm.append(key)
+    if norm:
+        earr = np.array(sorted(norm), dtype=np.int64)
+        both = np.concatenate([earr, earr[:, ::-1]])
+        both = both[np.lexsort((both[:, 1], both[:, 0]))]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(both[:, 0], minlength=n))]).astype(np.int64)
+        indices = both[:, 1].copy()
+    else:
+        earr = np.empty((0, 2), dtype=np.int64)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        indices = np.empty(0, dtype=np.int64)
+    return indptr, indices, label_components(n, earr)[0], earr
+
+
+@st.composite
+def edge_lists_with_faults(draw):
+    """Simple edges in random orientation with self-loops, out-of-range
+    endpoints and duplicates (either orientation) injected at random places."""
+    n = draw(st.integers(1, 30))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=3 * n))
+    edges = []
+    for u, v in pairs:
+        if (u, v) not in edges and (v, u) not in edges:
+            edges.append((u, v))
+    outside = st.integers(-5, -1) | st.integers(n, n + 5) | st.sampled_from([-(2**40), 2**40])
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["loop", "range", "duplicate"]))
+        if kind == "loop":
+            w = draw(vertex | outside)
+            fault = (w, w)
+        elif kind == "range":
+            fault = (draw(outside), draw(vertex | outside))
+            fault = fault if draw(st.booleans()) else fault[::-1]
+        elif edges:
+            u, v = draw(st.sampled_from(edges))
+            fault = (u, v) if draw(st.booleans()) else (v, u)
+        else:
+            continue
+        edges.insert(draw(st.integers(0, len(edges))), fault)
+    return n, edges
+
+
+class TestBuildGraphValidation:
+    @settings(max_examples=300, deadline=None)
+    @given(edge_lists_with_faults(), st.booleans())
+    def test_matches_the_loop(self, case, as_array):
+        n, edges = case
+        try:
+            expect = loop_build_graph(edges, n)
+        except MalformedGraph as exc:
+            expect = str(exc)
+        given_edges = np.array(edges, dtype=np.int64).reshape(-1, 2) if as_array else edges
+        try:
+            g, _ = build_graph(given_edges, np.zeros(n))
+        except MalformedGraph as exc:
+            assert str(exc) == expect
+            return
+        assert not isinstance(expect, str), expect
+        for got, want in zip((g.indptr, g.indices, g.component_id, g.edges()), expect):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
 def bfs_labels(n, edges, keep):
     """Reference labelling: BFS from each unlabelled kept vertex in id order."""
     adj = [[] for _ in range(n)]
