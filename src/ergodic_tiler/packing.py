@@ -15,7 +15,9 @@ until a cell is installed.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -138,13 +140,87 @@ def is_p_pack(graph, cocycle, prepart, A, p):
     )
 
 
+class _Frontier:
+    """The units next to a growing chain, sorted by (fdot, unit).
+
+    fdot is a unit's values-weighted mass, the third of its unit_stats, and a
+    unit is named by its smallest vertex. A unit's stats cannot change while
+    a chain grows, so an entry stays as it was added until it is popped.
+    """
+
+    def __init__(self):
+        self.order = []
+        self.units = {}
+
+    def add(self, unit, stats, is_cell):
+        """Queue a unit with its unit_stats and whether it is a cell."""
+        insort(self.order, (stats[2], unit))
+        self.units[unit] = (stats, is_cell)
+
+    def pop(self, unit):
+        """Remove a queued unit; returns what add was given for it."""
+        entry = self.units.pop(unit)
+        del self.order[bisect_left(self.order, (entry[0][2], unit))]
+        return entry
+
+    def pick(self, fsum, room, no_cells):
+        """The eligible unit with the smallest (abs(fsum + fdot), unit), or None.
+
+        A unit is eligible when its size is at most room and, with no_cells
+        set, it is not a cell. From the split, the first entry with
+        fdot >= -fsum, rightward fsum + fdot is >= 0 and non-decreasing, and
+        leftward it is <= 0 and non-increasing; float rounding is monotone,
+        so this holds for the computed sums too, and the score never falls
+        moving away from the split on either side. The walk therefore visits
+        the groups of equal fdot outward from the split, right side first,
+        and stops on a side at the first group scoring above the best found.
+        Inside a group every score is equal and units ascend, so the group's
+        first eligible unit is its best: the right walk skips the rest of a
+        group by bisect once it meets one, and the left walk scans each group
+        from its start.
+        """
+        order, units = self.order, self.units
+        best_score, best = inf, None
+        split = bisect_left(order, (-fsum, -1))
+        i = split
+        while i < len(order):
+            fdot, unit = order[i]
+            score = abs(fsum + fdot)
+            if score > best_score:
+                break
+            stats, is_cell = units[unit]
+            if stats[0] <= room and not (no_cells and is_cell):
+                # score <= best_score here, so this compares (score, unit)
+                if best is None or score < best_score or unit < best:
+                    best_score, best = score, unit
+                i = bisect_left(order, (fdot, inf), i)
+            else:
+                i += 1
+        i = split - 1
+        while i >= 0:
+            fdot = order[i][0]
+            score = abs(fsum + fdot)
+            if score > best_score:
+                break
+            lo = bisect_left(order, (fdot, -1), 0, i)
+            for _, unit in order[lo : i + 1]:
+                stats, is_cell = units[unit]
+                if stats[0] <= room and not (no_cells and is_cell):
+                    if best is None or score < best_score or unit < best:
+                        best_score, best = score, unit
+                    break
+            i = lo - 1
+        return best
+
+
 class _Search:
     """A mutable prepartition and the candidate search over it.
 
     Each public entry point builds one search and runs all of its passes and
-    rounds on it through pack, saturate and find_pack. Cells are sorted vertex arrays under ids that are never reused, so the
-    per-cell stats cache cannot go stale. A unit is a free vertex or a whole
-    cell, named by its smallest vertex; head maps every vertex to its unit.
+    rounds on it through pack, saturate and find_pack. Cells are sorted
+    vertex arrays under ids that are never reused, so the per-cell stats
+    cache cannot go stale. A unit is a free vertex or a whole cell, named by
+    its smallest vertex; head maps every vertex to its unit.
 
     dead holds the anchors whose last greedy chain ran to its end, absorbed
     no cell and had no snapshot with fresh mass that passed family.admits.
@@ -255,26 +331,30 @@ class _Search:
         absorbed (None means unlimited). Only candidates whose fresh mass is
         positive and at least p times their absorbed mass, and which pass
         the family's admits test, are yielded, as the length of the prefix
-        of vertices, the list the growth appends to; growth steers toward
-        balance when the family has values. A chain that runs to its end
-        without absorbing a cell or yielding marks its anchor dead.
+        of vertices, the list the growth appends to.
+
+        Each step adds the frontier unit that keeps the candidate closest to
+        balance: among the units that fit the remaining room (and are not
+        cells once max_cells are absorbed), the one with the smallest
+        (abs(fsum + fdot), unit), where fsum is the candidate's
+        values-weighted mass and fdot the unit's. The frontier is kept sorted
+        by (fdot, unit), and the score never falls moving away from the
+        first entry with fdot >= -fsum, so the pick walks outward from there
+        in groups of equal fdot and may stop on each side at the first group
+        scoring above the best found; see _Frontier.pick. A family without
+        values has fdot 0 everywhere, so the smallest fitting unit is added.
+        A chain that runs to its end without absorbing a cell or yielding
+        marks its anchor dead.
         """
         graph = self.graph
         head = self.head
         cell_of = self.cell_of
         admits = self.family.admits
         cap = self.budget.max_units
-        balance = self.fnw is not None
 
-        in_units = set()
-        # frontier stored as parallel arrays for vectorized selection
-        f_pos = {}
-        f_units = np.empty(cap * 8, dtype=np.int64)
-        f_sizes = np.empty(cap * 8, dtype=np.int64)
-        f_fdots = np.empty(cap * 8)
-        f_cell = np.empty(cap * 8, dtype=bool)
-        f_active = np.zeros(cap * 8, dtype=bool)
-        f_len = 0
+        # units added or on the frontier
+        reached = {anchor}
+        frontier = _Frontier()
         mass = 0.0
         new_mass = 0.0
         old_mass = 0.0
@@ -282,69 +362,43 @@ class _Search:
         wmax = 0.0
         cells_used = 0
 
-        def push_frontier(unit):
-            nonlocal f_len, f_units, f_sizes, f_fdots, f_cell, f_active
-            if f_len == len(f_units):
-                f_units, f_sizes, f_fdots, f_cell, f_active = (
-                    np.concatenate([a, np.zeros_like(a)])
-                    for a in (f_units, f_sizes, f_fdots, f_cell, f_active)
-                )
-            size, _, fdot, _ = self.unit_stats(unit)
-            f_units[f_len] = unit
-            f_sizes[f_len] = size
-            f_fdots[f_len] = fdot
-            f_cell[f_len] = cell_of[unit] >= 0
-            f_active[f_len] = True
-            f_pos[unit] = f_len
-            f_len += 1
-
-        def add_unit(unit):
+        def add_unit(unit, stats, is_cell):
             nonlocal mass, new_mass, old_mass, fsum, wmax, cells_used
-            in_units.add(unit)
-            pos = f_pos.pop(unit, None)
-            if pos is not None:
-                f_active[pos] = False
-            _, umass, fdot, umax = self.unit_stats(unit)
+            _, umass, fdot, umax = stats
             mass += umass
             fsum += fdot
             wmax = max(wmax, umax)
-            if cell_of[unit] >= 0:
+            if is_cell:
                 old_mass += umass
                 cells_used += 1
+                members = self.cells[cell_of[unit]].tolist()
             else:
                 new_mass += umass
-            for v in self.unit_vertices(unit):
-                vertices.append(int(v))
-                for u in graph.neighbors(v):
-                    w_unit = int(head[u])
-                    if w_unit in in_units or w_unit in f_pos:
+                members = (unit,)
+            for v in members:
+                vertices.append(v)
+                for w_unit in head[graph.neighbors(v)].tolist():
+                    if w_unit in reached:
                         continue
-                    push_frontier(w_unit)
+                    reached.add(w_unit)
+                    frontier.add(w_unit, self.unit_stats(w_unit), cell_of[w_unit] >= 0)
 
-        if self.unit_stats(anchor)[0] > cap:
+        stats = self.unit_stats(anchor)
+        if stats[0] > cap:
             return
-        add_unit(anchor)
+        add_unit(anchor, stats, cell_of[anchor] >= 0)
         yielded = False
         while True:
             if new_mass > 0.0 and new_mass >= p * old_mass and admits(mass, fsum, wmax):
                 yielded = True
                 yield len(vertices)
             room = cap - len(vertices)
-            if room <= 0 or not f_pos:
+            if room <= 0:
                 break
-            mask = f_active[:f_len] & (f_sizes[:f_len] <= room)
-            if max_cells is not None and cells_used >= max_cells:
-                mask &= ~f_cell[:f_len]
-            idx = np.flatnonzero(mask)
-            if idx.size == 0:
+            unit = frontier.pick(fsum, room, max_cells is not None and cells_used >= max_cells)
+            if unit is None:
                 break
-            if balance:
-                scores = np.abs(fsum + f_fdots[idx])
-                ties = idx[scores == scores.min()]
-            else:
-                ties = idx
-            # units are named by their smallest vertex, which breaks ties
-            add_unit(int(f_units[ties[0]] if ties.size == 1 else f_units[ties].min()))
+            add_unit(unit, *frontier.pop(unit))
         if not yielded and cells_used == 0:
             self.dead.add(anchor)
 

@@ -1,6 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergodic_tiler import (
@@ -21,6 +23,7 @@ from ergodic_tiler.packing import (
     DEFAULT_BUDGET,
     MAX_ROUNDS,
     SearchBudget,
+    _Frontier,
     find_pack,
     packed,
     saturate,
@@ -190,3 +193,117 @@ def test_chains_admitting_nothing_grow_once_per_stage(monkeypatch):
     pack_calls, calls[0] = calls[0], 0
     assert packed_and_saturated(q.graph, q.cocycle, family, packs[1], budget).cell_count == 0
     assert calls[0] == pack_calls > 0
+
+
+def seeded_instance(seed):
+    """Graph of 13 to 120 vertices: one component of at least 13 vertices
+    and up to two of at most 8, each a random tree plus extra edges, in
+    random vertex order. Even seeds draw normal values and log-weights; odd
+    seeds draw small integer values on log-weights of few levels, so that
+    many frontier units tie on their values-weighted mass."""
+    rng = np.random.default_rng(seed)
+    large = int(rng.integers(MAX_VERTICES + 1, 105))
+    sizes = [large, *rng.integers(1, 9, size=int(rng.integers(0, 3))).tolist()]
+    bounds = np.concatenate([[0], np.cumsum(rng.permutation(sizes))]).tolist()
+    n = bounds[-1]
+    edges = set()
+    for a, b in zip(bounds, bounds[1:]):
+        edges |= {(int(rng.integers(a, v)), v) for v in range(a + 1, b)}
+        for u, v in rng.integers(a, b, size=(b - a, 2)).tolist():
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+    if seed % 2:
+        values = rng.integers(-2, 3, size=n).astype(float)
+        log_weights = 0.5 * rng.integers(-1, 2, size=n)
+    else:
+        values = rng.normal(size=n)
+        log_weights = rng.normal(size=n)
+    graph, cocycle = build_graph(sorted(edges), log_weights.tolist())
+    return graph, cocycle, values, float(rng.uniform(0.05, 2.0)), rng
+
+
+def packing_digest(seeds):
+    """sha256 over every seed's packed_and_saturated labels and its direct
+    packed, saturate and plain and injective find_pack results. The seed
+    picks the kind of values (bit 0), the family (bit 1) and the budget."""
+    digest = hashlib.sha256()
+    for seed in seeds:
+        graph, cocycle, values, p, rng = seeded_instance(seed)
+        budget = SHARED_SEARCH_BUDGETS[seed // 4 % len(SHARED_SEARCH_BUDGETS)]
+        if seed // 2 % 2:
+            family = ConnectedFamily()
+        else:
+            lam, min_ratio = float(rng.uniform(0.05, 1.0)), float(rng.uniform(1.0, 3.0))
+            family = CentralFamily(values, lam, min_ratio)
+        joint = packed_and_saturated(graph, cocycle, family, p, budget)
+        half = packed(graph, cocycle, family, p / 2.0, budget)
+        grown = saturate(graph, cocycle, family, half, budget)
+        empty = Prepartition.empty(graph.vertex_count)
+        certs = [
+            find_pack(graph, cocycle, family, empty, p, budget),
+            find_pack(graph, cocycle, family, half, p, budget, injective=True),
+        ]
+        for part in (joint, half, grown):
+            digest.update(part.cell_of.tobytes())
+        for cert in certs:
+            if cert is None:
+                digest.update(b"none")
+            else:
+                digest.update(cert.vertices.tobytes())
+                masses = (cert.absorbed_cells, cert.new_mass, cert.covered_mass)
+                digest.update(repr(masses).encode())
+    return digest.hexdigest()
+
+
+def test_packing_digest_is_pinned():
+    """The greedy pick with its tie-breaks and the complete search decide
+    every cell, so a change to either that alters any result moves this
+    digest."""
+    pinned = "c7183f88966939f947e9b1a6a982e308af86cab8a62682bb08d9a7068b665bee"
+    assert packing_digest(range(60)) == pinned
+
+
+# tie-heavy fdots: small multiples of a quarter, both signed zeros, and now
+# and then an arbitrary float
+QUARTERS = st.sampled_from([0.0, -0.0, *(k / 4 for k in range(-4, 5) if k)])
+FDOTS = st.one_of(QUARTERS, QUARTERS, QUARTERS, st.floats(-2.0, 2.0))
+
+
+@st.composite
+def frontiers(draw):
+    """A frontier built by add and thinned by pop, with a pick query
+    whose fsum is often the exact negative of a frontier fdot, or halfway
+    between two quarters so that units on both sides of the split tie."""
+    entries = draw(
+        st.dictionaries(
+            st.integers(0, 60), st.tuples(st.integers(1, 4), FDOTS, st.booleans()), max_size=40
+        )
+    )
+    gone = draw(st.sets(st.sampled_from(sorted(entries)))) if entries else set()
+    negated = [-fdot for _, fdot, _ in entries.values()]
+    halves = st.sampled_from([k / 8 for k in range(-7, 8, 2)])
+    fsum = draw(st.one_of(FDOTS, halves, st.sampled_from(negated) if negated else FDOTS))
+    return entries, gone, fsum, draw(st.integers(0, 4)), draw(st.booleans())
+
+
+@settings(max_examples=500, deadline=None)
+@given(frontiers())
+# a tie across the split, won by the smaller unit on the left of it
+@example(({5: (1, 0.0, False), 3: (1, -0.25, False)}, set(), 0.125, 4, False))
+# signed zeros form one group
+@example(({2: (1, -0.0, False), 1: (1, 0.0, False), 0: (3, 0.0, True)}, set(), -0.0, 2, True))
+def test_frontier_pick_is_the_smallest_eligible_score_and_unit(case):
+    entries, gone, fsum, room, no_cells = case
+    queued = {u: ((size, 1.0, fdot, 1.0), is_cell) for u, (size, fdot, is_cell) in entries.items()}
+    frontier = _Frontier()
+    for unit, (stats, is_cell) in queued.items():
+        frontier.add(unit, stats, is_cell)
+    for unit in gone:
+        assert frontier.pop(unit) == queued[unit]
+    eligible = [
+        (abs(fsum + fdot), unit)
+        for unit, (size, fdot, is_cell) in entries.items()
+        if unit not in gone and size <= room and not (no_cells and is_cell)
+    ]
+    assert frontier.pick(fsum, room, no_cells) == (min(eligible)[1] if eligible else None)
+    assert sorted(frontier.units) == sorted(set(entries) - gone)
