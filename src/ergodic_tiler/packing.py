@@ -222,6 +222,11 @@ class _Search:
     cache cannot go stale. A unit is a free vertex or a whole cell, named by
     its smallest vertex; head maps every vertex to its unit.
 
+    head, cell_of, nw and fnw are written only in place, never rebound, so
+    the memoryviews over them, made once here, stay in step with them; the
+    greedy steps read plain Python numbers through these views and copy no
+    array. A family without values has fnw all zero.
+
     dead holds the anchors whose last greedy chain ran to its end, absorbed
     no cell and had no snapshot with fresh mass that passed family.admits.
     Such a chain never consulted p (its absorbed mass stayed zero) nor a
@@ -245,7 +250,11 @@ class _Search:
         for c in cells:
             self._install(c)
         self.nw = cocycle.component_normalized_weights(graph)
-        self.fnw = None if family.values is None else self.nw * family.values
+        self.fnw = np.zeros(n) if family.values is None else self.nw * family.values
+        self.head_v = memoryview(self.head)
+        self.cell_of_v = memoryview(self.cell_of)
+        self.nw_v = memoryview(self.nw)
+        self.fnw_v = memoryview(self.fnw)
         sizes = np.bincount(graph.component_id, minlength=graph.component_count)
         self.small = sizes <= budget.exhaustive_limit
 
@@ -256,19 +265,21 @@ class _Search:
         self.cell_of[vertices] = ci
         self.head[vertices] = vertices[0]
 
-    def cuts_a_cell(self, vertices):
-        """True iff some cell meets the vertices without lying inside them."""
+    def met_cells(self, vertices):
+        """Ids of the cells meeting the vertices, and whether one of them is
+        cut: meets the vertices without lying inside them."""
         inside = self.cell_of[vertices]
         inside = inside[inside >= 0]
-        return sum(len(self.cells[ci]) for ci in np.unique(inside).tolist()) != inside.size
+        met = np.unique(inside).tolist()
+        return met, sum(len(self.cells[ci]) for ci in met) != inside.size
 
     def apply(self, vertices):
         """Install a new cell, absorbing every cell it meets."""
-        if self.cuts_a_cell(vertices):
+        met, cut = self.met_cells(vertices)
+        if cut:
             raise InvariantBreach("candidate cuts an existing cell")
-        for ci in np.unique(self.cell_of[vertices]).tolist():
-            if ci >= 0:
-                del self.cells[ci]
+        for ci in met:
+            del self.cells[ci]
         self._install(vertices)
         self.dead.clear()
 
@@ -281,15 +292,15 @@ class _Search:
 
     def unit_stats(self, unit):
         """(size, mass, values-weighted mass, heaviest atom) of one unit."""
-        ci = int(self.cell_of[unit])
+        ci = self.cell_of_v[unit]
         if ci < 0:
-            fdot = float(self.fnw[unit]) if self.fnw is not None else 0.0
-            return (1, float(self.nw[unit]), fdot, float(self.nw[unit]))
+            w = self.nw_v[unit]
+            return (1, w, self.fnw_v[unit], w)
         st = self._stats.get(ci)
         if st is None:
             cell = self.cells[ci]
-            fdot = float(self.fnw[cell].sum()) if self.fnw is not None else 0.0
-            st = (len(cell), float(self.nw[cell].sum()), fdot, float(self.nw[cell].max()))
+            nw = self.nw[cell]
+            st = (len(cell), float(nw.sum()), float(self.fnw[cell].sum()), float(nw.max()))
             self._stats[ci] = st
         return st
 
@@ -307,8 +318,9 @@ class _Search:
         if self.small[comp]:
             yield from self._exhaustive(members, max_cells, p)
             return
+        head, cell_of = self.head_v, self.cell_of_v
         for v in members.tolist():
-            if self.head[v] != v or (self.cell_of[v] >= 0 and not anchor_at_cells) or v in self.dead:
+            if head[v] != v or (cell_of[v] >= 0 and not anchor_at_cells) or v in self.dead:
                 continue
             grown = []
             sizes = self.chain(v, max_cells, p, grown)
@@ -345,10 +357,17 @@ class _Search:
         values has fdot 0 everywhere, so the smallest fitting unit is added.
         A chain that runs to its end without absorbing a cell or yielding
         marks its anchor dead.
+
+        Each added vertex reads its neighbours once, through one
+        graph.neighbors call, unless its unit fills the chain to max_units:
+        a full chain stops before its next pick, and neither the yield test
+        nor the dead-anchor rule reads the frontier, so that unit's
+        neighbours are never read.
         """
-        graph = self.graph
-        head = self.head
-        cell_of = self.cell_of
+        neighbors = self.graph.neighbors
+        head = self.head_v
+        cell_of = self.cell_of_v
+        unit_stats = self.unit_stats
         admits = self.family.admits
         cap = self.budget.max_units
 
@@ -367,7 +386,8 @@ class _Search:
             _, umass, fdot, umax = stats
             mass += umass
             fsum += fdot
-            wmax = max(wmax, umax)
+            if umax > wmax:
+                wmax = umax
             if is_cell:
                 old_mass += umass
                 cells_used += 1
@@ -375,15 +395,19 @@ class _Search:
             else:
                 new_mass += umass
                 members = (unit,)
+            vertices.extend(members)
+            if len(vertices) >= cap:
+                # full: the chain ends before it would pick from a frontier
+                return
             for v in members:
-                vertices.append(v)
-                for w_unit in head[graph.neighbors(v)].tolist():
+                for w in neighbors(v).tolist():
+                    w_unit = head[w]
                     if w_unit in reached:
                         continue
                     reached.add(w_unit)
-                    frontier.add(w_unit, self.unit_stats(w_unit), cell_of[w_unit] >= 0)
+                    frontier.add(w_unit, unit_stats(w_unit), cell_of[w_unit] >= 0)
 
-        stats = self.unit_stats(anchor)
+        stats = unit_stats(anchor)
         if stats[0] > cap:
             return
         add_unit(anchor, stats, cell_of[anchor] >= 0)
@@ -481,9 +505,10 @@ class _Search:
             applied = False
             # keys are all taken before the first growth is applied
             for cand in sorted(proposals, key=gain_key):
-                # stale unless it still meets free vertices and at most one cell
-                labels = np.unique(self.cell_of[cand])
-                if labels[0] >= 0 or labels.size > 2 or self.cuts_a_cell(cand):
+                # stale unless it still meets free vertices and at most one
+                # cell, cutting none; an uncut candidate inside one cell is it
+                met, cut = self.met_cells(cand)
+                if cut or len(met) > 1 or (met and len(self.cells[met[0]]) == len(cand)):
                     continue
                 self.apply(cand)
                 applied = True

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ergodic_tiler.packing import (
     MAX_ROUNDS,
     SearchBudget,
     _Frontier,
+    _Search,
     find_pack,
     packed,
     saturate,
@@ -168,9 +170,25 @@ class TestOneSearchMatchesFreshSearches:
         assert got == reference_packed_and_saturated(graph, cocycle, family, p, budget)
 
 
-def test_chains_admitting_nothing_grow_once_per_stage(monkeypatch):
+@pytest.fixture
+def neighbor_calls(monkeypatch):
+    """A one-item list counting WeightedGraph.neighbors calls from here on."""
+    calls = [0]
+    neighbors = WeightedGraph.neighbors
+
+    def counted(self, v):
+        calls[0] += 1
+        return neighbors(self, v)
+
+    monkeypatch.setattr(WeightedGraph, "neighbors", counted)
+    return calls
+
+
+def test_chains_admitting_nothing_grow_once_per_stage(neighbor_calls):
     """free_tree 4 admits no cell at stage 1, so packing at p/2 already grows
-    every chain; saturation and the p re-check then grow none again."""
+    every chain; saturation and the p re-check then grow none again. Each of
+    the 161 chains fills the 128-unit cap, and its last vertex reads no
+    neighbours."""
     model = generate_model(ModelSpec("free_tree", 4))
     graph, mu, eps = model.graph, model.measure, 0.05
     f = np.asarray(model.values.values, dtype=float)
@@ -181,18 +199,51 @@ def test_chains_admitting_nothing_grow_once_per_stage(monkeypatch):
     family = CentralFamily(q.values, lambdas[1], ratios[1])
     budget = SearchBudget(max_units=128)
 
-    calls = [0]
-    neighbors = WeightedGraph.neighbors
-
-    def counted(self, v):
-        calls[0] += 1
-        return neighbors(self, v)
-
-    monkeypatch.setattr(WeightedGraph, "neighbors", counted)
+    neighbor_calls[0] = 0
     assert packed(q.graph, q.cocycle, family, packs[1] / 2.0, budget).cell_count == 0
-    pack_calls, calls[0] = calls[0], 0
+    pack_calls, neighbor_calls[0] = neighbor_calls[0], 0
+    assert pack_calls == 161 * 127
     assert packed_and_saturated(q.graph, q.cocycle, family, packs[1], budget).cell_count == 0
-    assert calls[0] == pack_calls > 0
+    assert neighbor_calls[0] == pack_calls
+
+
+def test_a_full_chain_reads_no_neighbours(neighbor_calls):
+    """A chain anchored at a cell of exactly max_units vertices is full after
+    its first unit, so it ends without reading a neighbour; a chain from a
+    free vertex reads those of every vertex but the one that fills it."""
+    graph, cocycle = build_graph([(v, v + 1) for v in range(199)], [0.0] * 200)
+    cell = np.arange(40, 56)
+    search = _Search(graph, cocycle, ConnectedFamily(), SearchBudget(max_units=16), [cell])
+    neighbor_calls[0] = 0
+    grown = []
+    assert list(search.chain(40, None, 0.0, grown)) == []
+    assert grown == cell.tolist()
+    assert neighbor_calls[0] == 0
+    grown = []
+    assert list(search.chain(0, None, 0.0, grown)) == list(range(1, 17))
+    assert grown == list(range(16))
+    assert neighbor_calls[0] == 15
+
+
+def test_a_search_copies_no_per_vertex_array():
+    """Building a search and growing a chain on a 65,536-vertex cycle
+    allocates the search's own per-vertex arrays and little more: its greedy
+    steps read those arrays through views, not through copies."""
+    n = 1 << 16
+    rng = np.random.default_rng(0)
+    graph, cocycle = build_graph([(v, (v + 1) % n) for v in range(n)], rng.normal(size=n).tolist())
+    family = CentralFamily(rng.normal(size=n), 0.5, 2.0)
+    tracemalloc.start()
+    try:
+        search = _Search(graph, cocycle, family, DEFAULT_BUDGET)
+        grown = []
+        list(search.chain(0, None, 0.5, grown))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(grown) == DEFAULT_BUDGET.max_units
+    own = sum(a.nbytes for a in (search.head, search.cell_of, search.nw, search.fnw))
+    assert peak < own + 256 * 1024
 
 
 def seeded_instance(seed):
