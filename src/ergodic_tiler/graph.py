@@ -158,22 +158,20 @@ def build_graph(edges, log_weights):
             raise MalformedGraph(f"self-loop at vertex {u}")
         raise MalformedGraph(f"edge ({u}, {v}) endpoint out of range for {n} vertices")
 
-    if len(keys):
-        earr = keys[by_code]
-        both = np.concatenate([earr, earr[:, ::-1]])
-        order = np.lexsort((both[:, 1], both[:, 0]))
-        both = both[order]
-        counts = np.bincount(both[:, 0], minlength=n)
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        indices = both[:, 1].copy()
-    else:
-        earr = np.empty((0, 2), dtype=np.int64)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        indices = np.empty(0, dtype=np.int64)
+    edges = keys[by_code]
+    return _assemble(n, edges, label_components(n, edges)[0]), Cocycle(lw)
 
-    component_id, _ = label_components(n, earr)
-    graph = WeightedGraph(n, indptr, indices, component_id, earr)
-    return graph, Cocycle(lw)
+
+def _assemble(n, edges, component_id):
+    """CSR graph on n vertices from distinct (lo, hi) edges, lo < hi, in
+    lexicographic order; nothing is validated."""
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    # every directed edge has its own code, so any sort gives the same order
+    order = np.argsort(src * n + dst, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return WeightedGraph(n, indptr, dst[order], component_id, edges)
 
 
 def outer_boundary(graph, U):
@@ -335,18 +333,27 @@ def quotient(graph, cocycle, values, relation):
 
     # the intra-class edges split each class into its pieces: one piece per
     # class iff every class is connected
-    ends = class_of[base_edges]
-    pieces, count = label_components(graph.vertex_count, base_edges[ends[:, 0] == ends[:, 1]])
+    cu, cv = class_of[base_edges[:, 0]], class_of[base_edges[:, 1]]
+    cross = cu != cv
+    pieces, count = label_components(graph.vertex_count, base_edges[~cross])
     if count != k:
         first_members = np.unique(pieces, return_index=True)[1]
         bad_class = np.flatnonzero(np.bincount(class_of[first_members], minlength=k) > 1)[0]
         bad = np.flatnonzero(class_of == bad_class)
         raise DisconnectedClass(f"class with members {bad[:8].tolist()}... is not connected")
 
+    # each crossing edge codes its class pair as lo * k + hi; sorted and
+    # deduplicated, the codes are the quotient's edges in (lo, hi) order
+    codes = np.sort(np.minimum(cu, cv)[cross] * k + np.maximum(cu, cv)[cross])
+    codes = codes[np.concatenate([[True], codes[1:] != codes[:-1]])] if codes.size else codes
+    edges = np.stack(np.divmod(codes, k), axis=1)
+    # every class is connected, so its members share one component label,
+    # and both labellings number components by their smallest member
+    component_id = np.empty(k, dtype=np.int64)
+    component_id[class_of] = graph.component_id
     q_vals, q_logw = class_means(cocycle, class_of, k, values)
-    out_edges = np.unique(np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1), axis=0)
-    qgraph, qcocycle = build_graph(out_edges, q_logw)
-    return QuotientResult(graph=qgraph, cocycle=qcocycle, values=q_vals, class_of=class_of)
+    qgraph = _assemble(k, edges, component_id)
+    return QuotientResult(graph=qgraph, cocycle=Cocycle(q_logw), values=q_vals, class_of=class_of)
 
 
 def cocycle_identity_holds(cocycle, x, y, z):

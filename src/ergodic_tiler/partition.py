@@ -50,11 +50,14 @@ def _group_labels(groups, n, noun, overlap):
 def _first_member_edges(labels):
     """Edges from each labelled vertex to the smallest vertex sharing its label.
 
-    Label -1 marks an unlabelled vertex, which gets no edge.
+    Label -1 marks an unlabelled vertex, which gets no edge, and so does the
+    smallest vertex of each label, whose edge would be a loop.
     """
     members = np.flatnonzero(labels >= 0)
     _, first, inverse = np.unique(labels[members], return_index=True, return_inverse=True)
-    return np.stack([members, members[first][inverse]], axis=1)
+    heads = members[first][inverse]
+    moved = heads != members
+    return np.stack([members[moved], heads[moved]], axis=1)
 
 
 def _groups(labels, count):

@@ -152,6 +152,8 @@ def run_tiling(model, eps, max_stages=12, raise_on_stall=True):
     best_mass = -1.0
     covered_mass_prev = -1.0
     class_count_prev = n + 1
+    # the last stage's contraction and budget, kept while that stage installed no cell
+    idle_q = idle_budget = None
     state.status = "budget_exhausted"
 
     for stage in range(1, max_stages + 1):
@@ -168,9 +170,35 @@ def run_tiling(model, eps, max_stages=12, raise_on_stall=True):
                 "max_units": stage_budget.max_units,
             }
             break
-        q = quotient(graph, cocycle, g, relation)
-        family = CentralFamily(q.values, lambdas[stage], ratios[stage])
-        qpart = packed_and_saturated(q.graph, q.cocycle, family, packs[stage], stage_budget)
+        if (
+            idle_q is not None
+            and stage_budget == idle_budget
+            and lambdas[stage] <= lambdas[stage - 1]
+            and ratios[stage] >= ratios[stage - 1]
+        ):
+            # The last stage installed no cell, so the relation, and with it
+            # the contraction, is unchanged, and this stage's family lies
+            # inside the last one. Its search would find nothing:
+            # - a greedy chain grows from the graph, the (empty) cells, the
+            #   values and the budget alone; lam, ratio and p never steer
+            #   it, so every chain grows as it did last stage;
+            # - with no cell, absorbed mass is 0, so the tests
+            #   new_mass >= p * 0 and is_p_pack's new_mass < p * covered_mass
+            #   do not depend on p;
+            # - admits and contains compare mass < ratio * wmax,
+            #   abs(fdot) < lam * mass, a mass ratio < ratio and
+            #   abs(average) < lam; float rounding is monotone, so a snapshot
+            #   the stricter family admits was admitted last stage too, and
+            #   the last stage rejected them all.
+            # The same holds for the complete search on small components,
+            # for saturation and for the closing find_pack.
+            q = idle_q
+            qpart = Prepartition.empty(q.graph.vertex_count)
+        else:
+            q = quotient(graph, cocycle, g, relation)
+            family = CentralFamily(q.values, lambdas[stage], ratios[stage])
+            qpart = packed_and_saturated(q.graph, q.cocycle, family, packs[stage], stage_budget)
+        idle_q, idle_budget = (q, stage_budget) if qpart.cell_count == 0 else (None, None)
         part = Prepartition.from_labels(qpart.cell_of[q.class_of])
         relation = relation.join(part.to_equiv())
         state.prepartitions.append(part)

@@ -8,8 +8,15 @@ from .errors import CrossComponent, EmptySet
 
 
 def as_vertex_array(U, vertex_count=None):
-    """Coerce a vertex collection to a sorted, duplicate-free int array."""
-    arr = np.unique(np.asarray(list(U) if not isinstance(U, np.ndarray) else U, dtype=np.int64))
+    """Coerce a vertex collection to a sorted, duplicate-free int array.
+
+    Always a fresh array; one that is already a strictly increasing int64
+    vector is copied rather than sorted again.
+    """
+    if isinstance(U, np.ndarray) and U.dtype == np.int64 and U.ndim == 1 and np.all(U[1:] > U[:-1]):
+        arr = U.copy()
+    else:
+        arr = np.unique(np.asarray(list(U) if not isinstance(U, np.ndarray) else U, dtype=np.int64))
     if vertex_count is not None and arr.size:
         if arr[0] < 0 or arr[-1] >= vertex_count:
             raise IndexError(f"vertex ids must lie in [0, {vertex_count}); got {arr[0]}..{arr[-1]}")
@@ -24,10 +31,12 @@ def require_nonempty(U, what="vertex set"):
 
 def require_same_component(graph, U, what="vertex set"):
     """Raise CrossComponent unless all of U lies in one component of the graph."""
-    comps = np.unique(graph.component_id[np.asarray(U, dtype=np.int64)])
-    if comps.size > 1:
-        raise CrossComponent(f"{what} spans components {comps.tolist()}")
-    return int(comps[0]) if comps.size else -1
+    comps = graph.component_id[np.asarray(U, dtype=np.int64)]
+    if comps.size == 0:
+        return -1
+    if np.any(comps != comps[0]):
+        raise CrossComponent(f"{what} spans components {np.unique(comps).tolist()}")
+    return int(comps[0])
 
 
 def as_values_array(values, vertex_count=None):

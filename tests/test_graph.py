@@ -25,6 +25,7 @@ from ergodic_tiler import (
     write_graph_file,
 )
 from ergodic_tiler.graph import cocycle_identity_holds, label_components
+from ergodic_tiler.validation import as_vertex_array
 
 
 def path_graph(n, logw=None):
@@ -364,6 +365,61 @@ class TestQuotient:
             assert qj.graph.vertex_count == q2.graph.vertex_count
             np.testing.assert_allclose(np.sort(qj.cocycle.log_weight), np.sort(q2.cocycle.log_weight), atol=1e-12)
             np.testing.assert_allclose(np.sort(qj.values), np.sort(q2.values), atol=1e-9)
+
+
+    def test_matches_the_validating_constructor(self):
+        """quotient assembles its graph without build_graph's checks; on
+        graphs of several components in shuffled vertex order, contracted
+        by random connected relations, it builds the same arrays."""
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            edges, n = [], 0
+            for size in rng.integers(1, 15, size=int(rng.integers(1, 5))).tolist():
+                g, _ = random_connected(rng, size, extra=size)
+                edges += (g.edges() + n).tolist()
+                n += size
+            shuffled = rng.permutation(n)[np.array(edges, dtype=np.int64).reshape(-1, 2)]
+            g, c = build_graph(shuffled, rng.uniform(-3, 3, n))
+            # the pieces of a random edge subset are connected classes
+            keep = rng.random(g.edge_count) < rng.uniform(0.0, 1.0)
+            relation = EquivRel(*label_components(n, g.edges()[keep]))
+            q = quotient(g, c, rng.normal(size=n), relation)
+            ref, _ = build_graph(q.graph.edges(), q.cocycle.log_weight)
+            assert q.graph.vertex_count == relation.class_count
+            for name in ("indptr", "indices", "component_id"):
+                got, want = getattr(q.graph, name), getattr(ref, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert q.graph.edges().dtype == ref.edges().dtype
+            assert np.array_equal(q.graph.edges(), ref.edges())
+
+
+VERTEX_INPUTS = [
+    np.array([1, 3, 7], dtype=np.int64),
+    np.array([7, 1, 3], dtype=np.int64),
+    np.array([3, 3, 1], dtype=np.int64),
+    np.array([1, 3, 3], dtype=np.int64),
+    np.array([2, 5], dtype=np.int32),
+    np.array([[1, 2], [0, 4]], dtype=np.int64),
+    np.array([], dtype=np.int64),
+    [5, 2, 2],
+    (0, 9),
+    [],
+]
+
+
+class TestAsVertexArray:
+    @pytest.mark.parametrize("U", VERTEX_INPUTS, ids=repr)
+    def test_unique_in_a_fresh_array(self, U):
+        out = as_vertex_array(U, 10)
+        want = np.unique(np.asarray(U, dtype=np.int64))
+        assert out.dtype == np.int64 and np.array_equal(out, want)
+        if isinstance(U, np.ndarray):
+            assert not np.shares_memory(out, U)
+
+    @pytest.mark.parametrize("U", [np.array([0, 10]), np.array([-1, 2]), [10], [3, -1]], ids=repr)
+    def test_out_of_range_raises(self, U):
+        with pytest.raises(IndexError):
+            as_vertex_array(U, 10)
 
 
 class TestCocycleIdentity:

@@ -170,6 +170,29 @@ class TestOneSearchMatchesFreshSearches:
         assert got == reference_packed_and_saturated(graph, cocycle, family, p, budget)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    case=small_instances() | large_instances(),
+    lam=st.floats(0.005, 0.5),
+    min_ratio=st.floats(1.0, 8.0),
+    narrow=st.just(1.0) | st.floats(0.0, 1.0),
+    widen=st.just(1.0) | st.floats(1.0, 4.0),
+    other_p=st.floats(0.01, 4.0),
+    budget=st.sampled_from([DEFAULT_BUDGET, *GREEDY_BUDGETS]),
+)
+def test_a_family_inside_one_that_admitted_nothing_admits_nothing(
+    case, lam, min_ratio, narrow, widen, other_p, budget
+):
+    """run_tiling reuses an empty stage for the next stage, whose family
+    has a narrower window and a higher ratio floor: a search that installs
+    no cell installs none for such a family either, at any threshold."""
+    graph, cocycle, values, p = case
+    if packed_and_saturated(graph, cocycle, CentralFamily(values, lam, min_ratio), p, budget).cell_count:
+        return
+    family = CentralFamily(values, lam * narrow, min_ratio * widen)
+    assert packed_and_saturated(graph, cocycle, family, other_p, budget).cell_count == 0
+
+
 @pytest.fixture
 def neighbor_calls(monkeypatch):
     """A one-item list counting WeightedGraph.neighbors calls from here on."""

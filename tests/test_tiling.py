@@ -15,6 +15,7 @@ from ergodic_tiler import (
     generate_model,
     run_tiling,
 )
+from ergodic_tiler import tiling
 from ergodic_tiler.tiling import _stage_statistics
 
 
@@ -113,3 +114,23 @@ def test_estimator_fits_the_run_tiling_chain():
     tiler = ErgodicTiler(eps=0.05, max_stages=12).fit(model)
     assert tiler.report_.status == report.status
     assert np.array_equal(tiler.labels_, state.relations[-1].class_of)
+
+
+def test_a_stage_after_one_that_installed_nothing_searches_nothing(monkeypatch):
+    """free_tree 4 installs no cell at stage 1, and stage 2 has the same
+    contraction and budget and a stricter family, so it neither contracts
+    nor searches again; its result is still an empty stage and a stall."""
+    calls = {"quotient": 0, "packed_and_saturated": 0}
+    for name in calls:
+        inner = getattr(tiling, name)
+
+        def counted(*args, _name=name, _inner=inner):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(tiling, name, counted)
+    model = generate_model(ModelSpec("free_tree", 4))
+    state, report = run_tiling(model, eps=0.05, max_stages=8, raise_on_stall=False)
+    assert calls == {"quotient": 1, "packed_and_saturated": 1}
+    assert [part.cell_count for part in state.prepartitions] == [0, 0]
+    assert report.status == "stalled"
