@@ -38,14 +38,10 @@ from .graph import (
 from .partition import CoherentLimit, EquivRel, Prepartition, coherent_limit
 from .averages import (
     GrowthResult,
-    LambdaSign,
     VertexFunction,
     chebyshev_restriction,
-    family_S_membership,
     intermediate_value_grow,
-    lambda_classify,
     mean_over,
-    quotient_ratio,
     union_identity_check,
     weighted_average,
 )
@@ -69,6 +65,7 @@ from .packing import (
     SearchBudget,
     audit_packed,
     audit_saturated,
+    family_S_membership,
     find_pack,
     is_p_pack,
     packed,

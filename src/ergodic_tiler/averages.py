@@ -12,7 +12,6 @@ from .graph import class_means, is_connected_set
 from .validation import (
     as_values_array,
     as_vertex_array,
-    check_positive,
     check_unit_interval,
     require_nonempty,
     require_same_component,
@@ -137,7 +136,13 @@ class GrowthResult:
 
 
 def growth_slack(values, cocycle, U, V):
-    """The one-step average perturbation bound for growing U inside V."""
+    """The one-step average perturbation bound for growing U inside V.
+
+    Adding a vertex v of weight w_v to a set S between U and V moves the
+    average a of S by w_v (f_v - a) / (mass(S) + w_v), and |f_v - a| is at
+    most |f_v| + |a|, with |a| at most sup|f| over V. So a step moves it by
+    at most max_rest * (sup_rest + sup_V) / mass_U, where rest is V minus U.
+    """
     U = as_vertex_array(U)
     V = as_vertex_array(V)
     rest = np.setdiff1d(V, U)
@@ -145,10 +150,11 @@ def growth_slack(values, cocycle, U, V):
         return 0.0
     vals = as_values_array(values)
     sup_rest = float(np.abs(vals[rest]).max())
+    sup_v = float(np.abs(vals[V]).max())
     anchor = float(cocycle.log_weight[V].max())
     max_rest = float(np.exp(cocycle.log_weight[rest] - anchor).max())
     mass_u = float(np.exp(cocycle.log_weight[U] - anchor).sum())
-    return sup_rest * max_rest / mass_u
+    return max_rest * (sup_rest + sup_v) / mass_u
 
 
 def intermediate_value_grow(graph, values, cocycle, U, V, r):
@@ -217,66 +223,3 @@ def intermediate_value_grow(graph, values, cocycle, U, V, r):
 
     avg = weighted_average(vals, cocycle, best_set)
     return GrowthResult(vertices=best_set, average=avg, delta=delta, target=float(r))
-
-
-@dataclass(frozen=True)
-class LambdaSign:
-    tag: str
-    lam: float
-    average: float
-
-    @property
-    def central(self):
-        return self.tag == "central"
-
-
-def lambda_classify(values, cocycle, U, lam):
-    """Classify the average of f over U against the open window (-lam, lam).
-
-    The window is open, the rays are closed: an average equal to +/- lam is
-    signed, never central.
-    """
-    check_positive(lam, "lam")
-    a = weighted_average(values, cocycle, U)
-    if a >= lam:
-        tag = "positive"
-    elif a <= -lam:
-        tag = "negative"
-    else:
-        tag = "central"
-    return LambdaSign(tag=tag, lam=float(lam), average=a)
-
-
-def quotient_ratio(graph, cocycle, U, relation):
-    """Mass of U over the largest mass of a relation class inside it."""
-    U = as_vertex_array(U, graph.vertex_count)
-    require_nonempty(U)
-    require_same_component(graph, U)
-    anchor = float(cocycle.log_weight[U].max())
-    w = np.exp(cocycle.log_weight - anchor)
-    total = float(w[U].sum())
-    biggest = 0.0
-    for ci in np.unique(relation.class_of[U]):
-        cls = relation.classes[ci]
-        biggest = max(biggest, float(w[cls].sum()))
-    return total / biggest
-
-
-def family_S_membership(graph, values, cocycle, U, lam, min_ratio, relation):
-    """Membership in the family of invariant, connected, centered sets of large
-    quotient ratio."""
-    check_positive(lam, "lam")
-    check_positive(min_ratio, "min_ratio")
-    U = as_vertex_array(U, graph.vertex_count)
-    if U.size == 0:
-        return False
-    for ci in np.unique(relation.class_of[U]):
-        cls = relation.classes[ci]
-        mask = np.isin(cls, U)
-        if not mask.all():
-            return False
-    if not is_connected_set(graph, U):
-        return False
-    if not lambda_classify(values, cocycle, U, lam).central:
-        return False
-    return quotient_ratio(graph, cocycle, U, relation) >= min_ratio

@@ -39,14 +39,6 @@ class RhoFlow:
     def domain(self):
         return [p for p, v in self.entries.items() if v != 0]
 
-    def vertex_domain(self):
-        verts = set()
-        for (x, y), v in self.entries.items():
-            if v != 0:
-                verts.add(x)
-                verts.add(y)
-        return np.array(sorted(verts), dtype=np.int64)
-
     def out_flow(self, cocycle, n):
         out = np.zeros(n)
         for (x, _y), v in self.entries.items():

@@ -105,9 +105,6 @@ class Cocycle:
         lw = np.asarray(self.log_weight, dtype=float)
         object.__setattr__(self, "log_weight", lw)
 
-    def log_ratio(self, x, y):
-        return self.log_weight[x] - self.log_weight[y]
-
     def ratio(self, x, y):
         return math.exp(self.log_weight[x] - self.log_weight[y])
 

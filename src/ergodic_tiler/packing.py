@@ -21,11 +21,10 @@ from math import inf
 
 import numpy as np
 
-from .averages import weighted_average
 from .errors import EmptySet, InvariantBreach
-from .graph import is_connected_set, rho_max_ratio
+from .graph import is_connected_set, quotient
 from .partition import Prepartition
-from .validation import as_values_array, as_vertex_array, require_same_component
+from .validation import as_values_array, as_vertex_array, check_positive, require_same_component
 
 
 @dataclass(frozen=True)
@@ -78,9 +77,12 @@ class ConnectedFamily(CellFamily):
 
 
 class CentralFamily(CellFamily):
-    """Connected sets with near-zero weighted mean and large mass ratio.
+    """The paper's family S.
 
-    Admits U iff |average of f over U| < lam and mass(U)/max-atom(U) >= min_ratio.
+    U is in S iff it is connected, |sum f w| < lam * sum w and
+    sum w >= min_ratio * max w, with w the vertex weights over U. admits is
+    this test on a candidate's running totals; contains is connectivity plus
+    admits on U's own totals.
     """
 
     def __init__(self, values, lam, min_ratio=1.0):
@@ -92,14 +94,31 @@ class CentralFamily(CellFamily):
         v = as_vertex_array(vertices, graph.vertex_count)
         if v.size == 0 or not is_connected_set(graph, v):
             return False
-        if rho_max_ratio(graph, cocycle, v) < self.min_ratio:
-            return False
-        return abs(weighted_average(self.values, cocycle, v)) < self.lam
+        lw = cocycle.log_weight[v]
+        w = np.exp(lw - lw.max())
+        return self.admits(w.sum(), np.dot(self.values[v], w), 1.0)
 
     def admits(self, mass, fdot, wmax):
         if mass <= 0 or mass < self.min_ratio * wmax:
             return False
         return abs(fdot) < self.lam * mass
+
+
+def family_S_membership(graph, values, cocycle, U, lam, min_ratio, relation):
+    """Membership of U in the family S over a relation, decided on its contraction.
+
+    U must be a union of classes; it is in S iff its classes are in S on the
+    contraction, since contracting keeps connectivity, masses and weighted
+    sums. Every class must be connected, or quotient raises DisconnectedClass.
+    """
+    check_positive(lam, "lam")
+    check_positive(min_ratio, "min_ratio")
+    U = as_vertex_array(U, graph.vertex_count)
+    classes = np.unique(relation.class_of[U])
+    if np.isin(relation.class_of, classes).sum() != U.size:
+        return False
+    q = quotient(graph, cocycle, values, relation)
+    return CentralFamily(q.values, lam, min_ratio).contains(q.graph, q.cocycle, classes)
 
 
 @dataclass(frozen=True)

@@ -176,22 +176,14 @@ def run_tiling(model, eps, max_stages=12, raise_on_stall=True):
             and lambdas[stage] <= lambdas[stage - 1]
             and ratios[stage] >= ratios[stage - 1]
         ):
-            # The last stage installed no cell, so the relation, and with it
-            # the contraction, is unchanged, and this stage's family lies
-            # inside the last one. Its search would find nothing:
-            # - a greedy chain grows from the graph, the (empty) cells, the
-            #   values and the budget alone; lam, ratio and p never steer
-            #   it, so every chain grows as it did last stage;
-            # - with no cell, absorbed mass is 0, so the tests
-            #   new_mass >= p * 0 and is_p_pack's new_mass < p * covered_mass
-            #   do not depend on p;
-            # - admits and contains compare mass < ratio * wmax,
-            #   abs(fdot) < lam * mass, a mass ratio < ratio and
-            #   abs(average) < lam; float rounding is monotone, so a snapshot
-            #   the stricter family admits was admitted last stage too, and
-            #   the last stage rejected them all.
-            # The same holds for the complete search on small components,
-            # for saturation and for the closing find_pack.
+            # The last stage installed no cell, so the contraction is
+            # unchanged and this stage's family lies inside the last one.
+            # Every chain grows as it did then (lam, ratio and p never steer
+            # growth), and with no cell absorbed mass is 0, so no p test
+            # changes. The one family test, admits, compares
+            # mass < ratio * wmax and abs(fdot) < lam * mass; float rounding
+            # is monotone, so a set this family admits the last one admitted
+            # too, in every search, and it admitted none.
             q = idle_q
             qpart = Prepartition.empty(q.graph.vertex_count)
         else:
@@ -199,7 +191,10 @@ def run_tiling(model, eps, max_stages=12, raise_on_stall=True):
             family = CentralFamily(q.values, lambdas[stage], ratios[stage])
             qpart = packed_and_saturated(q.graph, q.cocycle, family, packs[stage], stage_budget)
         idle_q, idle_budget = (q, stage_budget) if qpart.cell_count == 0 else (None, None)
-        part = Prepartition.from_labels(qpart.cell_of[q.class_of])
+        # the lift reads only the relation's labels, which q.class_of is, so
+        # the contraction is let go first and the lift can reuse its memory
+        q = family = None
+        part = Prepartition.from_labels(qpart.cell_of[relation.class_of])
         relation = relation.join(part.to_equiv())
         state.prepartitions.append(part)
         state.relations.append(relation)
@@ -301,18 +296,6 @@ class ErgodicTiler:
         self.eps = eps
         self.max_stages = max_stages
         self.raise_on_stall = raise_on_stall
-
-    _param_names = ("eps", "max_stages", "raise_on_stall")
-
-    def get_params(self, deep=True):
-        return {name: getattr(self, name) for name in self._param_names}
-
-    def set_params(self, **params):
-        for name, value in params.items():
-            if name not in self._param_names:
-                raise ValueError(f"unknown parameter {name!r}")
-            setattr(self, name, value)
-        return self
 
     def fit(self, model):
         state, report = run_tiling(

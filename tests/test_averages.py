@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ergodic_tiler import (
     Cocycle,
     CrossComponent,
+    DisconnectedClass,
     EmptySet,
     EquivRel,
     NotDisjoint,
@@ -16,15 +19,30 @@ from ergodic_tiler import (
     chebyshev_restriction,
     family_S_membership,
     intermediate_value_grow,
-    lambda_classify,
     mean_over,
-    quotient_ratio,
     union_identity_check,
     weighted_average,
 )
 from ergodic_tiler.averages import growth_slack
 
 from test_graph import path_graph, random_connected
+
+
+@st.composite
+def grown_trees(draw):
+    """A random tree on 2 to 12 vertices (each vertex hangs below a smaller
+    one), log-weights, values, a subtree U = {0, ..., k - 1} with k < n, and
+    a target r between the averages of U and of the whole tree V."""
+    n = draw(st.integers(2, 12))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    log_weights = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    values = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    graph, cocycle = build_graph(edges, log_weights)
+    U = np.arange(draw(st.integers(1, n - 1)))
+    a_u = weighted_average(values, cocycle, U)
+    a_v = weighted_average(values, cocycle, np.arange(n))
+    r = a_u + draw(st.floats(0.0, 1.0)) * (a_v - a_u)
+    return graph, cocycle, values, U, r
 
 
 def random_relation(rng, graph):
@@ -240,7 +258,8 @@ class TestIntermediateValueGrow:
         res = intermediate_value_grow(g, f, c, [0], [0, 1, 2], r=0.5)
         assert res.vertices.tolist() == [0, 1]
         assert res.average == pytest.approx(0.5)
-        assert res.delta == pytest.approx(2.0)
+        # one step moves the average by at most 1 * (2 + 2) / 1
+        assert res.delta == pytest.approx(4.0)
 
     def test_out_of_range_rejected(self):
         g, c = path_graph(3)
@@ -248,30 +267,48 @@ class TestIntermediateValueGrow:
         with pytest.raises(TargetOutOfRange):
             intermediate_value_grow(g, f, c, [0], [0, 1, 2], r=5.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(grown_trees())
+    # nothing lies off U but a zero, yet the step from U to V moves the
+    # average by half of U's own
+    @example((*path_graph(2), np.array([1.0, 0.0]), np.array([0]), 0.75))
+    def test_lands_within_slack_of_target(self, case):
+        """The growth passes from U to V one vertex at a time, and each step
+        moves the average by at most the slack, so some intermediate set,
+        and hence the closest one, lies within the slack of r."""
+        graph, cocycle, values, U, r = case
+        res = intermediate_value_grow(graph, values, cocycle, U, np.arange(graph.vertex_count), r)
+        assert abs(res.average - r) <= res.delta + 1e-9 * max(1.0, abs(r))
+
     def test_slack_formula(self):
-        # the reported slack is sup|f| off U times the heaviest outside weight
-        # over the mass of U
+        # the reported slack is the heaviest outside weight times sup|f| off
+        # U plus sup|f| on V (which bounds |average|), over the mass of U
         g, c = path_graph(4, np.log([4.0, 1.0, 2.0, 1.0]))
         f = np.array([0.0, -3.0, 5.0, 1.0])
-        assert growth_slack(f, c, [0], [0, 1, 2, 3]) == pytest.approx(5.0 * 2.0 / 4.0)
-
-
-class TestLambdaClassify:
-    def test_zero_is_central(self):
-        _, c = path_graph(2)
-        assert lambda_classify([0.0, 0.0], c, [0, 1], lam=0.5).tag == "central"
-
-    def test_boundary_is_signed(self):
-        _, c = path_graph(1, np.zeros(1))
-        assert lambda_classify([0.5], c, [0], lam=0.5).tag == "positive"
-        assert lambda_classify([-0.5], c, [0], lam=0.5).tag == "negative"
-
-    def test_negative_singleton(self):
-        _, c = path_graph(1, np.zeros(1))
-        assert lambda_classify([-5.0], c, [0], lam=1.0).tag == "negative"
+        assert growth_slack(f, c, [0], [0, 1, 2, 3]) == pytest.approx(2.0 / 4.0 * (5.0 + 5.0))
 
 
 class TestFamilyMembership:
+    """family_S_membership contracts the relation and asks CentralFamily, so
+    these cases pin the one definition of S, including those that once
+    pinned lambda_classify and quotient_ratio."""
+
+    def test_zero_is_central(self):
+        g, c = path_graph(2)
+        assert family_S_membership(g, [0.0, 0.0], c, [0, 1], lam=0.5, min_ratio=1.0, relation=EquivRel.identity(2))
+
+    def test_average_on_the_window_edge_is_rejected(self):
+        # the window is open: an average of exactly +/- lam is not central
+        g, c = path_graph(1, np.zeros(1))
+        rel = EquivRel.identity(1)
+        for edge in (0.5, -0.5):
+            assert not family_S_membership(g, [edge], c, [0], lam=0.5, min_ratio=1.0, relation=rel)
+            assert family_S_membership(g, [edge], c, [0], lam=np.nextafter(0.5, 1.0), min_ratio=1.0, relation=rel)
+
+    def test_far_average_is_rejected(self):
+        g, c = path_graph(1, np.zeros(1))
+        assert not family_S_membership(g, [-5.0], c, [0], lam=1.0, min_ratio=1.0, relation=EquivRel.identity(1))
+
     def test_identity_relation_low_floor(self):
         g, c = path_graph(3)
         rel = EquivRel.identity(3)
@@ -283,8 +320,24 @@ class TestFamilyMembership:
         assert not family_S_membership(g, np.zeros(3), c, [1, 2], lam=0.5, min_ratio=1.0, relation=rel)
 
     def test_quotient_ratio_floor(self):
+        # weights 1, 2 and 4: the mass over the heaviest class is exactly 7/4
         g, c = path_graph(3, np.log([1.0, 2.0, 4.0]))
         rel = EquivRel.identity(3)
-        assert quotient_ratio(g, c, [0, 1, 2], rel) == pytest.approx(7.0 / 4.0)
         assert not family_S_membership(g, np.zeros(3), c, [0, 1, 2], lam=0.5, min_ratio=2.0, relation=rel)
         assert family_S_membership(g, np.zeros(3), c, [0, 1, 2], lam=0.5, min_ratio=1.75, relation=rel)
+        above = np.nextafter(1.75, 2.0)
+        assert not family_S_membership(g, np.zeros(3), c, [0, 1, 2], lam=0.5, min_ratio=above, relation=rel)
+
+    def test_quotient_ratio_counts_whole_classes(self):
+        # classes {0} and {1, 2} of masses 1 and 6: the ratio is 7/6
+        g, c = path_graph(3, np.log([1.0, 2.0, 4.0]))
+        rel = EquivRel.from_classes([[0], [1, 2]], 3)
+        assert family_S_membership(g, np.zeros(3), c, [0, 1, 2], lam=0.5, min_ratio=1.16, relation=rel)
+        assert not family_S_membership(g, np.zeros(3), c, [0, 1, 2], lam=0.5, min_ratio=1.17, relation=rel)
+
+    def test_disconnected_class_raises(self):
+        # the class {0, 2} of the path 0 - 1 - 2 has no edge inside it
+        g, c = path_graph(3)
+        rel = EquivRel.from_classes([[0, 2], [1]], 3)
+        with pytest.raises(DisconnectedClass):
+            family_S_membership(g, np.zeros(3), c, [0, 1, 2], lam=0.5, min_ratio=1.0, relation=rel)

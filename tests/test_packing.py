@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ergodic_tiler import (
@@ -16,9 +16,12 @@ from ergodic_tiler import (
     audit_packed,
     audit_saturated,
     build_graph,
+    family_S_membership,
     generate_model,
+    is_connected_set,
     packed_and_saturated,
     quotient,
+    weighted_average,
 )
 from ergodic_tiler.packing import (
     DEFAULT_BUDGET,
@@ -381,3 +384,143 @@ def test_frontier_pick_is_the_smallest_eligible_score_and_unit(case):
     ]
     assert frontier.pick(fsum, room, no_cells) == (min(eligible)[1] if eligible else None)
     assert sorted(frontier.units) == sorted(set(entries) - gone)
+
+
+def draw_connected_classes(draw, graph):
+    """A relation on the graph whose classes are connected: vertices in a
+    drawn order each start a class of up to four, absorbing free neighbours
+    depth first."""
+    n = graph.vertex_count
+    labels = np.full(n, -1, dtype=np.int64)
+    for k, v in enumerate(draw(st.permutations(range(n)))):
+        if labels[v] >= 0:
+            continue
+        labels[v] = k
+        size, members, stack = draw(st.integers(1, 4)), 1, [v]
+        while stack and members < size:
+            for u in graph.neighbors(stack.pop()).tolist():
+                if labels[u] < 0 and members < size:
+                    labels[u] = k
+                    members += 1
+                    stack.append(u)
+    return EquivRel.from_labels(labels)
+
+
+@st.composite
+def related_instances(draw):
+    """Connected graph of 1 to 14 vertices (a random tree plus extra edges),
+    log-weights, values, a relation with connected classes and a vertex set
+    U: a union of classes grown along edges, any union of classes, or any
+    set of vertices."""
+    n = draw(st.integers(1, 14))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    edges |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
+    log_weights = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    values = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    graph, cocycle = build_graph(sorted(edges), log_weights)
+    relation = draw_connected_classes(draw, graph)
+    kind = draw(st.sampled_from(["grown", "classes", "vertices"]))
+    if kind == "vertices":
+        U = sorted(draw(st.sets(st.integers(0, n - 1))))
+    elif kind == "classes":
+        chosen = draw(st.sets(st.integers(0, relation.class_count - 1)))
+        U = np.flatnonzero(np.isin(relation.class_of, list(chosen))).tolist()
+    else:
+        U = {draw(st.integers(0, n - 1))}
+        for _ in range(draw(st.integers(0, n))):
+            outside = sorted({int(u) for v in U for u in graph.neighbors(v)} - U)
+            if outside:
+                U.add(draw(st.sampled_from(outside)))
+        U = np.flatnonzero(np.isin(relation.class_of, relation.class_of[sorted(U)])).tolist()
+    return graph, cocycle, values, relation, U
+
+
+def reference_family_S_membership(graph, values, cocycle, U, lam, min_ratio, relation):
+    """The family S on the original graph, in the arithmetic it had before
+    it was decided on the contraction: U is a nonempty connected union of
+    classes whose weighted average lies in (-lam, lam) and whose mass is at
+    least min_ratio times that of its heaviest class. Returns the verdict,
+    the average and that ratio; the last two are None when U fails earlier."""
+    U = np.unique(np.asarray(U, dtype=np.int64))
+    if U.size == 0:
+        return False, None, None
+    met = np.unique(relation.class_of[U])
+    if any(not np.isin(relation.classes[ci], U).all() for ci in met):
+        return False, None, None
+    if not is_connected_set(graph, U):
+        return False, None, None
+    average = weighted_average(values, cocycle, U)
+    w = np.exp(cocycle.log_weight - cocycle.log_weight[U].max())
+    ratio = float(w[U].sum()) / max(float(w[relation.classes[ci]].sum()) for ci in met)
+    return -lam < average < lam and ratio >= min_ratio, average, ratio
+
+
+def near(x, bound):
+    """x lies within a relative 1e-9 of a positive bound."""
+    return abs(x - bound) <= 1e-9 * bound
+
+
+@settings(max_examples=400, deadline=None)
+@given(related_instances(), st.floats(0.01, 1.0), st.floats(1.0, 6.0))
+def test_membership_commutes_with_contraction(case, lam, min_ratio):
+    """U is in S over the relation iff its classes are in S on the
+    contraction. Sets whose average or ratio lies within a relative 1e-9 of
+    lam or min_ratio are skipped: there the two arithmetics may round to
+    different sides."""
+    graph, cocycle, values, relation, U = case
+    expected, average, ratio = reference_family_S_membership(
+        graph, values, cocycle, U, lam, min_ratio, relation
+    )
+    assume(average is None or not (near(abs(average), lam) or near(ratio, min_ratio)))
+    assert family_S_membership(graph, values, cocycle, U, lam, min_ratio, relation) == expected
+
+
+class RecordingFamily(CentralFamily):
+    """A central family that records, at each admits call a chain makes, the
+    chain's vertices, its running totals and the verdict."""
+
+    def __init__(self, values, lam, min_ratio):
+        super().__init__(values, lam, min_ratio)
+        self.grown = []
+        self.calls = []
+
+    def admits(self, mass, fdot, wmax):
+        verdict = super().admits(mass, fdot, wmax)
+        self.calls.append((sorted(self.grown), mass, fdot, wmax, verdict))
+        return verdict
+
+
+@st.composite
+def chain_instances(draw):
+    """A large instance with some classes of a relation installed as cells."""
+    graph, cocycle, values, _ = draw(large_instances())
+    relation = draw_connected_classes(draw, graph)
+    classes = [c for c in relation.classes if len(c) > 1]
+    chosen = draw(st.sets(st.integers(0, len(classes) - 1))) if classes else set()
+    return graph, cocycle, values, [classes[i] for i in sorted(chosen)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_instances(), st.floats(0.01, 1.0), st.floats(1.0, 6.0))
+def test_admits_on_running_totals_agrees_with_contains(case, lam, min_ratio):
+    """Every snapshot of every greedy chain is a connected set whose totals
+    the chain keeps relative to its component's heaviest vertex; contains
+    takes them afresh relative to the set's own. Snapshots within a relative
+    1e-9 of the lam or ratio boundary are skipped: there the two sums may
+    round to different sides."""
+    graph, cocycle, values, cells = case
+    family = RecordingFamily(values, lam, min_ratio)
+    search = _Search(graph, cocycle, family, SearchBudget(max_units=24), cells)
+    for anchor in np.unique(search.head).tolist():
+        family.grown = []
+        list(search.chain(anchor, None, 0.0, family.grown))
+    plain = CentralFamily(values, lam, min_ratio)
+    checked = 0
+    for vertices, mass, fdot, wmax, verdict in family.calls:
+        if near(abs(fdot), lam * mass) or near(mass, min_ratio * wmax):
+            continue
+        assert plain.contains(graph, cocycle, vertices) == verdict
+        checked += 1
+    assert checked or not family.calls
+

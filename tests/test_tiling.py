@@ -13,6 +13,7 @@ from ergodic_tiler import (
     build_graph,
     emit_report,
     generate_model,
+    ratio_experiment,
     run_tiling,
 )
 from ergodic_tiler import tiling
@@ -134,3 +135,41 @@ def test_a_stage_after_one_that_installed_nothing_searches_nothing(monkeypatch):
     assert calls == {"quotient": 1, "packed_and_saturated": 1}
     assert [part.cell_count for part in state.prepartitions] == [0, 0]
     assert report.status == "stalled"
+
+
+@pytest.mark.parametrize("spec", CHAIN_MODELS, ids=lambda s: f"{s.kind}-{s.n}")
+def test_ratio_experiment_with_unit_denominator_is_run_tiling(spec):
+    model = generate_model(spec)
+    state, report = run_tiling(model, eps=0.05, max_stages=8, raise_on_stall=False)
+    ratio_state, ratio_report = ratio_experiment(
+        model, np.ones(model.graph.vertex_count), eps=0.05, max_stages=8, raise_on_stall=False
+    )
+    assert len(ratio_state.relations) == len(state.relations)
+    for got, want in zip(ratio_state.relations, state.relations):
+        assert np.array_equal(got.class_of, want.class_of)
+    assert (ratio_state.status, ratio_report.status) == (state.status, report.status)
+
+
+def test_ratio_experiment_scores_against_the_ratio_of_means():
+    """Each stage's mass within eps counts the vertices whose tile has
+    sum(f mu) / sum(g mu) within eps of E[f] / E[g]; here E[g] is near 2, so
+    scoring against E[f] alone would count other tiles."""
+    model = generate_model(ModelSpec("bernoulli", 8, p=0.3, q=0.5))
+    n, atoms = model.graph.vertex_count, model.measure.atoms
+    f = np.asarray(model.values.values, dtype=float) + 0.25
+    g = 1.0 + np.arange(n) % 3
+    eps = 0.05
+    state, report = ratio_experiment(model, g, eps=eps, max_stages=4, f=f, raise_on_stall=False)
+    target = float(np.dot(atoms, f)) / float(np.dot(atoms, g))
+    assert report.target_mean == pytest.approx(target, rel=1e-12)
+    assert len(report.rows) == len(state.relations) >= 1
+
+    def mass_within(relation, centre):
+        within = np.zeros(n, dtype=bool)
+        for cls in relation.classes:
+            within[cls] = abs(np.dot(atoms[cls], f[cls]) / np.dot(atoms[cls], g[cls]) - centre) <= eps
+        return float(atoms[within].sum())
+
+    for relation, row in zip(state.relations, report.rows):
+        assert row.mass_within_eps == pytest.approx(mass_within(relation, target), abs=1e-12)
+        assert row.mass_within_eps != pytest.approx(mass_within(relation, float(np.dot(atoms, f))), abs=0.1)
