@@ -8,6 +8,7 @@ dividing by the largest weight of the set at hand.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,7 +131,7 @@ def build_graph(edges, log_weights):
         raise MalformedGraph("log-weights must be finite")
 
     try:
-        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        pairs = _edge_array(edges)
     except OverflowError:
         raise MalformedGraph(f"edge endpoint out of range for {n} vertices") from None
     if pairs.size == 0:
@@ -157,6 +158,22 @@ def build_graph(edges, log_weights):
 
     edges = keys[by_code]
     return _assemble(n, edges, label_components(n, edges)[0]), Cocycle(lw)
+
+
+def _edge_array(edges):
+    """Edges as an int64 array, for build_graph to check. A list of 2-tuples
+    or 2-lists is read flat, several times faster than numpy's conversion of
+    nested sequences; anything else, or a pair that is not two numbers, goes
+    through that conversion."""
+    if isinstance(edges, np.ndarray):
+        return np.asarray(edges, dtype=np.int64)
+    edges = list(edges)
+    if set(map(type, edges)) <= {tuple, list} and set(map(len, edges)) == {2}:
+        try:
+            return np.fromiter(itertools.chain.from_iterable(edges), np.int64, 2 * len(edges)).reshape(-1, 2)
+        except (TypeError, ValueError):
+            pass
+    return np.asarray(edges, dtype=np.int64)
 
 
 def _assemble(n, edges, component_id):
@@ -326,6 +343,13 @@ def quotient(graph, cocycle, values, relation):
     values = as_values_array(values, graph.vertex_count)
     class_of = relation.class_of
     k = relation.class_count
+    if k == graph.vertex_count:
+        # Every class is a singleton, and canonical labels make class_of the
+        # identity, so the general path below would only copy its inputs: its
+        # weights are exp(0) = 1, its means f * 1 / 1 = f, its log-weights
+        # lw + log(1), which differ from lw at most in the sign of a zero,
+        # and its edges are the input's, already sorted and distinct.
+        return QuotientResult(graph=graph, cocycle=cocycle, values=values, class_of=class_of)
     base_edges = graph.edges()
 
     # the intra-class edges split each class into its pieces: one piece per

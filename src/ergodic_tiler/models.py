@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -34,6 +33,15 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class ModelBundle:
+    """A generated model: everything a tiling run reads, as arrays.
+
+    graph holds the CSR adjacency, edges and component labels; cocycle one
+    log-weight per vertex; measure the rho-invariant probability atoms;
+    values the observable, centred to mean zero under the measure; frontier
+    the sorted vertices where a truncated system was cut off (empty for the
+    finite systems); raw_mean the measure's mean of the uncentred observable.
+    """
+
     spec: ModelSpec
     graph: WeightedGraph
     cocycle: Cocycle
@@ -41,14 +49,14 @@ class ModelBundle:
     values: VertexFunction
     frontier: np.ndarray
     raw_mean: float
-    exact_weights: list | None = None
 
 
-def _center(raw, graph, cocycle):
+def _bundle(spec, graph, cocycle, raw, frontier=()):
+    """The model with the observable raw centred under its invariant measure."""
     measure = RhoMeasure.from_cocycle(graph, cocycle)
-    raw_fn = VertexFunction(raw)
-    m = raw_fn.mean(measure)
-    return measure, VertexFunction(raw - m), m
+    m = VertexFunction(raw).mean(measure)
+    frontier = np.array(frontier, dtype=np.int64)
+    return ModelBundle(spec, graph, cocycle, measure, VertexFunction(raw - m), frontier, m)
 
 
 GOLDEN_STEP = (math.sqrt(5.0) - 1.0) / 2.0
@@ -62,16 +70,7 @@ def _rotation(spec):
     graph, cocycle = build_graph(edges, np.zeros(n))
     angles = (np.arange(n) * GOLDEN_STEP) % 1.0
     raw = (angles < 0.5).astype(float)
-    measure, values, m = _center(raw, graph, cocycle)
-    return ModelBundle(
-        spec=spec,
-        graph=graph,
-        cocycle=cocycle,
-        measure=measure,
-        values=values,
-        frontier=np.empty(0, dtype=np.int64),
-        raw_mean=m,
-    )
+    return _bundle(spec, graph, cocycle, raw)
 
 
 def _odometer(spec):
@@ -81,7 +80,8 @@ def _odometer(spec):
     if not (0.0 < spec.p < 1.0):
         raise BadModel("odometer weight parameter p must lie in (0, 1)")
     size = 1 << d
-    edges = [(k, (k + 1) % size) for k in range(size)]
+    # on 2 points the cycle is the one edge (0, 1)
+    edges = [(k, (k + 1) % size) for k in range(size if size > 2 else 1)]
     ks = np.arange(size, dtype=np.int64)
     ones = np.zeros(size)
     for bit in range(d):
@@ -89,16 +89,7 @@ def _odometer(spec):
     logw = ones * math.log(spec.p / (1.0 - spec.p))
     graph, cocycle = build_graph(edges, logw)
     raw = (ks & 1).astype(float)
-    measure, values, m = _center(raw, graph, cocycle)
-    return ModelBundle(
-        spec=spec,
-        graph=graph,
-        cocycle=cocycle,
-        measure=measure,
-        values=values,
-        frontier=np.empty(0, dtype=np.int64),
-        raw_mean=m,
-    )
+    return _bundle(spec, graph, cocycle, raw)
 
 
 def _bernoulli(spec):
@@ -116,40 +107,21 @@ def _bernoulli(spec):
     size = 1 << d
     mask = size - 1
     xs = np.arange(size, dtype=np.int64)
-    edges = set()
-    for x in range(size):
-        for b in (0, 1):
-            y = ((x << 1) & mask) | b
-            if y != x:
-                edges.add((min(x, y), max(x, y)))
+    x = np.repeat(xs, 2)
+    y = ((x << 1) & mask) | np.tile([0, 1], size)
+    x, y = x[x != y], y[x != y]
+    # code each pair as lo * size + hi; the sorted distinct codes are the
+    # edges in (lo, hi) order
+    edges = np.stack(np.divmod(np.unique(np.minimum(x, y) * size + np.maximum(x, y)), size), axis=1)
     ones = np.zeros(size)
     for bit in range(d):
         ones += (xs >> bit) & 1
     log_one = math.log(p) - math.log(q)
     log_zero = math.log(1.0 - p) - math.log(1.0 - q)
     logw = ones * log_one + (d - ones) * log_zero
-    graph, cocycle = build_graph(sorted(edges), logw)
+    graph, cocycle = build_graph(edges, logw)
     raw = ((xs >> (d - 1)) & 1).astype(float)
-    measure, values, m = _center(raw, graph, cocycle)
-
-    pf = Fraction(str(p)) if p != q else Fraction(1)
-    qf = Fraction(str(q)) if p != q else Fraction(1)
-    if p == q:
-        exact = [Fraction(1)] * size
-    else:
-        r1 = pf / qf
-        r0 = (1 - pf) / (1 - qf)
-        exact = [r1 ** int(o) * r0 ** int(d - o) for o in ones.astype(int)]
-    return ModelBundle(
-        spec=spec,
-        graph=graph,
-        cocycle=cocycle,
-        measure=measure,
-        values=values,
-        frontier=np.empty(0, dtype=np.int64),
-        raw_mean=m,
-        exact_weights=exact,
-    )
+    return _bundle(spec, graph, cocycle, raw)
 
 
 _GENERATORS = "aAbB"
@@ -186,16 +158,7 @@ def _free_tree(spec):
     logw = np.array([len(w) * base for w in words])
     graph, cocycle = build_graph(edges, logw)
     raw = np.array([1.0 if w[:1] in ("a", "A") else 0.0 for w in words])
-    measure, values, m = _center(raw, graph, cocycle)
-    return ModelBundle(
-        spec=spec,
-        graph=graph,
-        cocycle=cocycle,
-        measure=measure,
-        values=values,
-        frontier=np.array(sorted(frontier), dtype=np.int64),
-        raw_mean=m,
-    )
+    return _bundle(spec, graph, cocycle, raw, sorted(frontier))
 
 
 def _random_regular(spec):
@@ -215,16 +178,7 @@ def _random_regular(spec):
     logw = rng.uniform(-spread, spread, size=n)
     raw = rng.integers(0, 2, size=n).astype(float)
     graph, cocycle = build_graph(sorted((min(u, v), max(u, v)) for u, v in g.edges()), logw)
-    measure, values, m = _center(raw, graph, cocycle)
-    return ModelBundle(
-        spec=spec,
-        graph=graph,
-        cocycle=cocycle,
-        measure=measure,
-        values=values,
-        frontier=np.empty(0, dtype=np.int64),
-        raw_mean=m,
-    )
+    return _bundle(spec, graph, cocycle, raw)
 
 
 def generate_model(spec):

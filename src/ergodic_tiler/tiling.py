@@ -9,6 +9,7 @@ toward the global mean.
 
 from __future__ import annotations
 
+import bisect
 import time
 from dataclasses import dataclass, field
 
@@ -39,15 +40,21 @@ def linf_reduction(values, mu, eps):
     candidates = np.concatenate([[0.0], levels])
 
     def tail(level):
-        return float(np.dot(mu.atoms, np.maximum(np.abs(f) - level, 0.0)))
+        terms = np.maximum(np.abs(f) - level, 0.0)
+        terms *= mu.atoms
+        # accumulate adds left to right, r[i] = r[i - 1] + terms[i], so the
+        # order of the sum is fixed by n alone
+        return float(np.cumsum(terms, out=terms)[-1]) if terms.size else 0.0
 
-    chosen = None
-    for level in candidates:
-        if tail(level) < budget:
-            chosen = float(level)
-            break
-    if chosen is None:
+    # tail is non-increasing in level, so bisection finds the first level a
+    # linear scan would: each rounded |f_i| - level, its max with 0 and its
+    # product with atoms[i] >= 0 are non-increasing in level, and a sum in a
+    # fixed order is non-decreasing in each term, because rounding is
+    # monotone. The levels ascend, so "tail < budget" is false and then true.
+    first = bisect.bisect_left(candidates, True, key=lambda level: tail(level) < budget)
+    if first == len(candidates):
         raise AssertionError("finite observables always admit a clipping level")
+    chosen = float(candidates[first])
     g = np.clip(f, -chosen, chosen)
     return ReductionResult(values=g, level=chosen, tail_l1=tail(chosen))
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from ergodic_tiler import (
     rho_sorted,
     write_graph_file,
 )
-from ergodic_tiler.graph import cocycle_identity_holds, label_components
+from ergodic_tiler.graph import _edge_array, class_means, cocycle_identity_holds, label_components
 from ergodic_tiler.validation import as_vertex_array
 
 
@@ -43,6 +44,27 @@ def random_connected(rng, n, extra=2):
             edges.add((min(u, v), max(u, v)))
     logw = rng.uniform(-3, 3, size=n)
     return build_graph(sorted(edges), logw)
+
+
+EDGE_INPUTS = [
+    [(1, 2), (3, 4)],
+    [[1, 2], [3, 4]],
+    [(1, 2), [3, 4]],
+    ((0, 1), (1, 2)),
+    [(0.5, 1.7)],
+    [(np.int32(3), 4)],
+    [(True, 2)],
+    [("1", 2)],
+    [(2**40, -(2**40))],
+    [(2**70, 1)],
+    [(1, None)],
+    [((1, 2), (3, 4))],
+    ["12"],
+    [(1, 2, 3)],
+    [(1, 2), (3,)],
+    [1, 2],
+    [],
+]
 
 
 class TestBuildGraph:
@@ -76,6 +98,18 @@ class TestBuildGraph:
         g, _ = build_graph([(2, 0), (1, 2)], [0.0, 0.0, 0.0])
         assert g.neighbors(2).tolist() == [0, 1]
         assert g.neighbors(0).tolist() == [2]
+
+    @pytest.mark.parametrize("edges", EDGE_INPUTS, ids=repr)
+    def test_edge_list_read_as_numpy_reads_it(self, edges):
+        """The flat read of a list of pairs gives numpy's array, or its error."""
+        try:
+            want = np.asarray(list(edges), dtype=np.int64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            with pytest.raises(type(exc)):
+                _edge_array(edges)
+            return
+        got = _edge_array(edges)
+        assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
 
 
 def loop_build_graph(edges, n):
@@ -391,6 +425,44 @@ class TestQuotient:
                 assert got.dtype == want.dtype and np.array_equal(got, want), name
             assert q.graph.edges().dtype == ref.edges().dtype
             assert np.array_equal(q.graph.edges(), ref.edges())
+
+    def test_singletons_hand_back_the_inputs(self):
+        """Contracting by the identity returns the graph and cocycle
+        themselves, and they equal what the general arithmetic would build."""
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            g, c = random_connected(rng, n, extra=int(rng.integers(0, n + 1)))
+            if rng.random() < 0.5:
+                # drop some edges, so that some graphs have several components
+                edges = g.edges()[rng.random(g.edge_count) < 0.7]
+                g, c = build_graph(edges, c.log_weight)
+            f = rng.normal(size=n)
+            f[rng.random(n) < 0.2] = 0.0
+            q = quotient(g, c, f, EquivRel.identity(n))
+            assert q.graph is g and q.cocycle is c
+            assert np.array_equal(q.values, f) and np.array_equal(q.class_of, np.arange(n))
+            means, logmass = class_means(c, np.arange(n), n, f)
+            ref, _ = build_graph(g.edges(), logmass)
+            assert np.array_equal(q.values, means)
+            assert np.array_equal(q.cocycle.log_weight, logmass)
+            for name in ("indptr", "indices", "component_id"):
+                assert np.array_equal(getattr(q.graph, name), getattr(ref, name)), name
+            assert np.array_equal(q.graph.edges(), ref.edges())
+
+    def test_singletons_allocate_nothing(self):
+        n = 1 << 16
+        g, c = build_graph([(k, (k + 1) % n) for k in range(n)], np.linspace(-2.0, 2.0, n))
+        f = np.cos(np.arange(n, dtype=float))
+        relation = EquivRel.identity(n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            quotient(g, c, f, relation)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 64 * 1024
 
 
 VERTEX_INPUTS = [

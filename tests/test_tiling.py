@@ -1,7 +1,10 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergodic_tiler import (
     EquivRel,
@@ -173,3 +176,65 @@ def test_ratio_experiment_scores_against_the_ratio_of_means():
     for relation, row in zip(state.relations, report.rows):
         assert row.mass_within_eps == pytest.approx(mass_within(relation, target), abs=1e-12)
         assert row.mass_within_eps != pytest.approx(mass_within(relation, float(np.dot(atoms, f))), abs=0.1)
+
+
+def scan_reduction(f, atoms, eps):
+    """Reference: the first candidate level whose tail is below the budget,
+    found by trying every level in turn. Returns (level, tail)."""
+    budget = (eps / 2.0) ** 2
+    for level in np.concatenate([[0.0], np.unique(np.abs(f))]):
+        tail = float(np.cumsum(atoms * np.maximum(np.abs(f) - level, 0.0))[-1])
+        if tail < budget:
+            return float(level), tail
+    raise AssertionError("no level passed")
+
+
+@st.composite
+def observables(draw):
+    """Values with ties, opposite signs of one level and zeros, on uniform or
+    random atoms."""
+    pool = draw(st.lists(st.floats(-50.0, 50.0, allow_nan=False), min_size=1, max_size=20))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from([1.0, -1.0, 0.0])), min_size=1, max_size=60))
+    f = np.array([value * sign for value, sign in picks])
+    n = len(f)
+    if draw(st.booleans()):
+        atoms = np.full(n, 1.0 / n)
+    else:
+        raw = np.array(draw(st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n)))
+        atoms = raw / raw.sum()
+    eps = draw(st.floats(0.001, 0.999))
+    return f, atoms, eps
+
+
+@settings(max_examples=400, deadline=None)
+@given(observables())
+def test_linf_reduction_finds_the_scan_level(case):
+    f, atoms, eps = case
+    mu = RhoMeasure(component_mass=np.ones(1), atoms=atoms)
+    got = tiling.linf_reduction(f, mu, eps)
+    level, tail = scan_reduction(f, atoms, eps)
+    assert got.level == level and got.tail_l1 == tail
+    assert np.array_equal(got.values, np.clip(f, -level, level))
+
+
+def test_linf_reduction_bisects_the_levels():
+    """Every tail evaluation reads the atoms once; on distinct continuous
+    values the search makes about log2(n) of them, not one per level."""
+
+    class CountingMeasure:
+        reads = 0
+
+        @property
+        def atoms(self):
+            CountingMeasure.reads += 1
+            return atoms
+
+    n = 1 << 15
+    f = np.random.default_rng(3).standard_normal(n)
+    atoms = np.full(n, 1.0 / n)
+    got = tiling.linf_reduction(f, CountingMeasure(), 0.05)
+    assert CountingMeasure.reads <= math.ceil(math.log2(n + 2)) + 1
+    # the level is the first to pass: the next lower one does not
+    levels = np.unique(np.abs(f))
+    below = levels[np.searchsorted(levels, got.level) - 1]
+    assert got.tail_l1 < 0.025**2 <= float(np.dot(atoms, np.maximum(np.abs(f) - below, 0.0)))
