@@ -37,23 +37,27 @@ def _piece_sizes(n, edges, keep=None):
     return np.bincount(labels[labels >= 0], minlength=count), labels
 
 
-def _edge_cut_sizes(graph, H):
-    """Piece sizes left after deleting the edges H, given in either orientation."""
+def _edge_cut_sizes(graph, H, keep=None):
+    """Piece sizes on the mask keep (default all) once the edges H, in either orientation, are deleted."""
     n = graph.vertex_count
     edges = graph.edges()
     cut = np.sort(np.asarray(H, dtype=np.int64).reshape(-1, 2), axis=1)
     kept = ~np.isin(edges[:, 0] * n + edges[:, 1], cut[:, 0] * n + cut[:, 1])
-    return _piece_sizes(n, edges[kept])[0]
+    return _piece_sizes(n, edges[kept], keep)[0]
+
+
+def _vertex_cut_pieces(graph, V, keep=None):
+    """Piece sizes and labels on the mask keep (default all) once the vertices V are removed."""
+    keep = np.ones(graph.vertex_count, dtype=bool) if keep is None else keep.copy()
+    keep[np.asarray(V, dtype=np.int64)] = False
+    return _piece_sizes(graph.vertex_count, graph.edges(), keep)
 
 
 def is_K_finitizing_vertex_cut(graph, V, K):
     """True iff removing V leaves only components with at most K vertices."""
     if K < 1:
         raise ValueError("K must be at least 1")
-    removed = np.zeros(graph.vertex_count, dtype=bool)
-    V = as_vertex_array(V, graph.vertex_count)
-    removed[V] = True
-    sizes, _ = _piece_sizes(graph.vertex_count, graph.edges(), ~removed)
+    sizes, _ = _vertex_cut_pieces(graph, as_vertex_array(V, graph.vertex_count))
     return bool(sizes.size == 0 or sizes.max() <= K)
 
 
@@ -168,18 +172,13 @@ def _greedy_vertex_cut_component(graph, members, weight, K):
         members.discard(v)
 
 
-def _local_vertex_cut_component(graph, members, weight, K):
-    """Greedy cut followed by a redundancy-pruning pass."""
-    cut = _greedy_vertex_cut_component(graph, members, weight, K)
-    cut_set = set(cut)
-    for v in sorted(cut, key=lambda v: (-float(weight[v]), v)):
-        trial = cut_set - {v}
-        keep_mask = np.zeros(graph.vertex_count, dtype=bool)
-        keep_mask[list(set(int(u) for u in members) - trial)] = True
-        sizes, _ = _piece_sizes(graph.vertex_count, graph.edges(), keep_mask)
-        if sizes.size == 0 or sizes.max() <= K:
-            cut_set = trial
-    return sorted(cut_set)
+def _prune_cut(cut, weight, sizes_without, K):
+    """Drop cut elements heaviest first while the pieces the rest leaves stay at most K."""
+    cut = set(cut)
+    for x in sorted(cut, key=lambda x: (-weight(x), x)):
+        if sizes_without(sorted(cut - {x})).max(initial=0) <= K:
+            cut.discard(x)
+    return sorted(cut)
 
 
 def vertex_price(graph, mu, K, method="exact", cocycle=None):
@@ -187,7 +186,8 @@ def vertex_price(graph, mu, K, method="exact", cocycle=None):
 
     The exact method is a per-component branch and bound, limited to
     components of at most 20 vertices; greedy and local produce labeled upper
-    bounds on graphs of any size.
+    bounds on graphs of any size. local drops from the greedy cut, heaviest
+    first, each vertex the rest of the cut does not need.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
@@ -204,16 +204,15 @@ def vertex_price(graph, mu, K, method="exact", cocycle=None):
                     f"component {c} has {len(members)} vertices > {EXACT_COMPONENT_LIMIT}"
                 )
             part, _ = _exact_vertex_cut_component(graph, members, mu.atoms, K)
-        elif method == "greedy":
-            part = _greedy_vertex_cut_component(graph, members, mu.atoms, K)
         else:
-            part = _local_vertex_cut_component(graph, members, mu.atoms, K)
+            part = _greedy_vertex_cut_component(graph, members, mu.atoms, K)
+            if method == "local":
+                inside = graph.component_id == c
+                part = _prune_cut(part, mu.atoms.item, lambda r: _vertex_cut_pieces(graph, r, inside)[0], K)
         cut.extend(int(v) for v in part)
 
     cut = sorted(cut)
-    removed = np.zeros(graph.vertex_count, dtype=bool)
-    removed[cut] = True
-    sizes, labels = _piece_sizes(graph.vertex_count, graph.edges(), ~removed)
+    sizes, labels = _vertex_cut_pieces(graph, cut)
     largest = int(sizes.max()) if sizes.size else 0
     largest_ratio = None
     if cocycle is not None and sizes.size:
@@ -327,7 +326,8 @@ def _greedy_edge_cut_component(graph, members, nu, K):
 def edge_price(graph, nu=None, K=1, method="exact"):
     """Cheapest edge set whose deletion leaves pieces of at most K vertices.
 
-    nu defaults to the uniform distribution on edges.
+    The methods are those of vertex_price, local dropping edges instead of
+    vertices. nu defaults to the uniform distribution on edges.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
@@ -351,6 +351,9 @@ def edge_price(graph, nu=None, K=1, method="exact"):
             part, _ = _exact_edge_cut_component(graph, members, nu, K)
         else:
             part = _greedy_edge_cut_component(graph, members, nu, K)
+            if method == "local":
+                inside = graph.component_id == c
+                part = _prune_cut(part, lambda e: nu.get(e, 0.0), lambda r: _edge_cut_sizes(graph, r, inside), K)
         cut.extend(part)
 
     cut = sorted(set(cut))

@@ -327,11 +327,12 @@ class _Search:
         """Oracle-verified candidates of one component.
 
         A component within the exhaustive limit yields every candidate of
-        the complete search. A larger one yields, anchor by anchor in vertex
-        order, the first (or, with last, the last) verified snapshot of each
-        greedy chain. The stream is lazy, so a caller may apply a candidate
-        before the next chain grows. Cells anchor chains only when
-        anchor_at_cells is set, and dead anchors anchor none.
+        the complete search, lazily, one smallest vertex at a time. A larger
+        one yields, anchor by anchor in vertex order, the first (or, with
+        last, the last) verified snapshot of each greedy chain. The stream
+        is lazy, so a caller may apply a candidate before the next chain
+        grows. Cells anchor chains only when anchor_at_cells is set, and
+        dead anchors anchor none.
         """
         members = self.graph.component_members(comp)
         if self.small[comp]:
@@ -448,47 +449,45 @@ class _Search:
     def _exhaustive(self, members, max_cells, p):
         """All connected invariant candidates of one small component that
         pass the oracle, ordered by (smallest vertex, size, lexicographic
-        members)."""
-        units = np.unique(self.head[members]).tolist()
-        k = len(units)
-        pos = {u: i for i, u in enumerate(units)}
-        unit_adj = [set() for _ in range(k)]
-        for i, u in enumerate(units):
-            for v in self.unit_vertices(u):
-                for nb in self.graph.neighbors(v):
-                    j = pos[int(self.head[nb])]
-                    if j != i:
-                        unit_adj[i].add(j)
-        is_cell = [bool(self.cell_of[u] >= 0) for u in units]
-        masses = [self.unit_stats(u)[1] for u in units]
+        members).
 
-        found = []
-        for mask in range(1, 1 << k):
-            chosen = [i for i in range(k) if mask >> i & 1]
-            if max_cells is not None and sum(is_cell[i] for i in chosen) > max_cells:
-                continue
-            csel = set(chosen)
-            seen = {chosen[0]}
-            stack = [chosen[0]]
+        ESU (Wernicke 2006) grows the connected unit sets of each smallest
+        unit a, and so of smallest vertex a, in turn. Adding a unit w extends
+        the set's extension by w's neighbours above a that are neither in the
+        set nor next to it; a unit thus enters an extension only with the
+        first member it touches and leaves for good once popped, so each set
+        is built once and is connected. The oracle still tests the vertex
+        set, as a cell may be disconnected. A set past max_cells cells is not
+        grown. A group is sorted and checked only when the caller asks past
+        the group before it.
+        """
+        head, cell_of, unit_stats = self.head_v, self.cell_of_v, self.unit_stats
+        adj = {
+            u: {head[w] for v in self.unit_vertices(u) for w in self.graph.neighbors(v).tolist()} - {u}
+            for u in np.unique(self.head[members]).tolist()
+        }
+        for a in adj:
+            group = []
+            # (units of the set, its extension, the set and its neighbours)
+            stack = [((a,), {w for w in adj[a] if w > a}, adj[a] | {a})]
             while stack:
-                i = stack.pop()
-                for j in unit_adj[i]:
-                    if j in csel and j not in seen:
-                        seen.add(j)
-                        stack.append(j)
-            if len(seen) != len(chosen):
-                continue
-            new_mass = sum(masses[i] for i in chosen if not is_cell[i])
-            old_mass = sum(masses[i] for i in chosen if is_cell[i])
-            if new_mass <= 0.0 or new_mass < p * old_mass:
-                continue
-            cand = np.array(
-                sorted(int(v) for i in chosen for v in self.unit_vertices(units[i])), dtype=np.int64
-            )
-            if self.family.contains(self.graph, self.cocycle, cand):
-                found.append(cand)
-        found.sort(key=lambda a: (int(a[0]), len(a), tuple(int(x) for x in a)))
-        return found
+                chosen, ext, near = stack.pop()
+                # ascending, so the sums do not depend on the order of additions
+                chosen = sorted(chosen)
+                cells = [u for u in chosen if cell_of[u] >= 0]
+                if max_cells is not None and len(cells) > max_cells:
+                    continue
+                new_mass = sum(unit_stats(u)[1] for u in chosen if cell_of[u] < 0)
+                old_mass = sum(unit_stats(u)[1] for u in cells)
+                if not (new_mass <= 0.0 or new_mass < p * old_mass):
+                    group.append(sorted(int(v) for u in chosen for v in self.unit_vertices(u)))
+                while ext:
+                    w = ext.pop()
+                    stack.append(((*chosen, w), ext | {x for x in adj[w] - near if x > a}, near | adj[w]))
+            for cand in sorted(group, key=lambda c: (len(c), c)):
+                cand = np.array(cand, dtype=np.int64)
+                if self.family.contains(self.graph, self.cocycle, cand):
+                    yield cand
 
     def pack(self, p):
         """Apply p-packs until a pass finds none; see packed."""

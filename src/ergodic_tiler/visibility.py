@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadMagnification, InvariantBreach, NoNextBlock
+from .graph import outer_boundary
 
 
 @dataclass(frozen=True)
@@ -78,17 +79,11 @@ def next_block(graph, cocycle, b):
     Taken at the lightest outer-boundary vertex; any choice among ties gives
     the same block. Raises if b already fills its component.
     """
-    in_b = set(int(v) for v in b.vertices)
-    boundary = set()
-    for v in b.vertices:
-        for u in graph.neighbors(v):
-            if int(u) not in in_b:
-                boundary.add(int(u))
-    if not boundary:
+    boundary = outer_boundary(graph, b.vertices)
+    if not boundary.size:
         raise NoNextBlock(f"block of {b.dominus} fills its component")
-    y = _min_weight_vertex(cocycle, boundary)
-    nxt = block(graph, cocycle, y, 1.0)
-    if not set(int(v) for v in b.vertices) < set(int(v) for v in nxt.vertices):
+    nxt = block(graph, cocycle, _min_weight_vertex(cocycle, boundary), 1.0)
+    if not set(b.vertices.tolist()) < set(nxt.vertices.tolist()):
         raise InvariantBreach("next block does not strictly contain the current one")
     return nxt
 

@@ -188,6 +188,22 @@ class TestEdgePrice:
             assert greedy.price >= exact.price - 1e-12
             assert is_K_finitizing_edge_cut(g, greedy.cut, K)
 
+    def test_local_cut_keeps_only_needed_edges(self):
+        """local drops every greedy edge that the rest of the cut does
+        without, so removing any one edge from its cut breaks the cut."""
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            n = int(rng.integers(4, 16))
+            g, c = random_connected(rng, n, extra=n)
+            K = int(rng.integers(1, n))
+            greedy = edge_price(g, K=K, method="greedy")
+            local = edge_price(g, K=K, method="local")
+            assert local.method == "local"
+            assert is_K_finitizing_edge_cut(g, local.cut, K)
+            assert local.price <= greedy.price
+            for e in local.cut:
+                assert not is_K_finitizing_edge_cut(g, [f for f in local.cut if f != e], K)
+
     def test_map_lift_measure(self):
         g, c = path_graph(3)
         mu = uniform_measure(g)

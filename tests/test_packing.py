@@ -272,6 +272,105 @@ def test_a_search_copies_no_per_vertex_array():
     assert peak < own + 256 * 1024
 
 
+def mask_enumerator(search, members, max_cells, p):
+    """The complete search as every unit mask of a component, a DFS per mask
+    to drop the disconnected ones, and one sort of all survivors: the
+    reference for the lazy enumeration of connected unit sets."""
+    units = np.unique(search.head[members]).tolist()
+    k = len(units)
+    pos = {u: i for i, u in enumerate(units)}
+    unit_adj = [set() for _ in range(k)]
+    for i, u in enumerate(units):
+        for v in search.unit_vertices(u):
+            for nb in search.graph.neighbors(v):
+                j = pos[int(search.head[nb])]
+                if j != i:
+                    unit_adj[i].add(j)
+    is_cell = [bool(search.cell_of[u] >= 0) for u in units]
+    masses = [search.unit_stats(u)[1] for u in units]
+
+    found = []
+    for mask in range(1, 1 << k):
+        chosen = [i for i in range(k) if mask >> i & 1]
+        if max_cells is not None and sum(is_cell[i] for i in chosen) > max_cells:
+            continue
+        csel = set(chosen)
+        seen = {chosen[0]}
+        stack = [chosen[0]]
+        while stack:
+            i = stack.pop()
+            for j in unit_adj[i]:
+                if j in csel and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        if len(seen) != len(chosen):
+            continue
+        new_mass = sum(masses[i] for i in chosen if not is_cell[i])
+        old_mass = sum(masses[i] for i in chosen if is_cell[i])
+        if new_mass <= 0.0 or new_mass < p * old_mass:
+            continue
+        cand = np.array(
+            sorted(int(v) for i in chosen for v in search.unit_vertices(units[i])), dtype=np.int64
+        )
+        if search.family.contains(search.graph, search.cocycle, cand):
+            found.append(cand)
+    found.sort(key=lambda a: (int(a[0]), len(a), tuple(int(x) for x in a)))
+    return found
+
+
+@st.composite
+def complete_searches(draw):
+    """A search over a graph of at most exhaustive_limit vertices, with or
+    without cells (disjoint vertex sets inside one component each, connected
+    or not), of either family, and a max_cells and p to query it at."""
+    graph, cocycle, values, _ = draw(small_instances())
+    n = graph.vertex_count
+    cells = []
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+        groups = {}
+        for v, label in enumerate(labels):
+            if label >= 0:
+                groups.setdefault((int(graph.component_id[v]), label), []).append(v)
+        cells = [np.array(vs, dtype=np.int64) for vs in groups.values()]
+    if draw(st.booleans()):
+        family = ConnectedFamily()
+    else:
+        family = CentralFamily(values, draw(st.floats(0.05, 1.0)), draw(st.floats(1.0, 3.0)))
+    search = _Search(graph, cocycle, family, DEFAULT_BUDGET, cells)
+    return search, draw(st.sampled_from([None, 0, 1, 2])), draw(st.floats(0.0, 2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(complete_searches())
+def test_complete_search_matches_the_mask_enumerator(case):
+    search, max_cells, p = case
+    for comp in range(search.graph.component_count):
+        got = [c.tolist() for c in search.candidates(comp, max_cells, p, False)]
+        members = search.graph.component_members(comp)
+        assert got == [c.tolist() for c in mask_enumerator(search, members, max_cells, p)]
+
+
+def test_the_complete_search_is_lazy():
+    """On a 12-vertex complete graph without cells, the first candidate is
+    the singleton of vertex 0, found by one oracle call, not after all 4,095
+    connected sets were checked."""
+
+    class CountingFamily(ConnectedFamily):
+        calls = 0
+
+        def contains(self, graph, cocycle, vertices):
+            self.calls += 1
+            return super().contains(graph, cocycle, vertices)
+
+    n = 12
+    graph, cocycle = build_graph([(u, v) for u in range(n) for v in range(u + 1, n)], [0.0] * n)
+    family = CountingFamily()
+    search = _Search(graph, cocycle, family, DEFAULT_BUDGET)
+    assert next(search.candidates(0, None, 1.0, False)).tolist() == [0]
+    assert family.calls == 1
+
+
 def seeded_instance(seed):
     """Graph of 13 to 120 vertices: one component of at least 13 vertices
     and up to two of at most 8, each a random tree plus extra edges, in
