@@ -33,8 +33,8 @@ class SearchBudget:
 
     Components with at most exhaustive_limit vertices are searched by full
     enumeration (the search is then complete); larger ones use greedy growth
-    capped at max_units atoms per candidate, where an atom is a free vertex or
-    a whole existing cell.
+    capped at max_units vertices per candidate, an absorbed cell counting
+    with all of its vertices.
     """
 
     exhaustive_limit: int = 12
@@ -54,6 +54,7 @@ class CellFamily:
     """
 
     values = None
+    min_ratio = 0.0
 
     def contains(self, graph, cocycle, vertices):
         raise NotImplementedError
@@ -63,7 +64,9 @@ class CellFamily:
 
         mass, fdot and wmax are the candidate's normalized mass, its
         values-weighted mass and its heaviest normalized atom; the search
-        only offers candidates that pass this test to contains.
+        only offers candidates that pass this test to contains. It must
+        reject mass < min_ratio * wmax: a greedy chain ends once that
+        product exceeds any mass the chain could reach.
         """
         return True
 
@@ -246,12 +249,13 @@ class _Search:
     greedy steps read plain Python numbers through these views and copy no
     array. A family without values has fnw all zero.
 
-    dead holds the anchors whose last greedy chain ran to its end, absorbed
-    no cell and had no snapshot with fresh mass that passed family.admits.
-    Such a chain never consulted p (its absorbed mass stayed zero) nor a
-    max_cells of at least one, so it yields nothing for any of them and
-    candidates skips its anchor. Installing a cell can change how every
-    chain grows, so apply empties the set.
+    dead holds the anchors whose last greedy chain ended, absorbed no cell
+    and had no snapshot with fresh mass that passed family.admits. Such a
+    chain never consulted p (its absorbed mass stayed zero) nor a max_cells
+    of at least one, and where the ratio floor ended it early, admits
+    rejects the rest of the chain whatever p and max_cells are; so it yields
+    nothing for any of them and candidates skips its anchor. Installing a
+    cell can change how every chain grows, so apply empties the set.
     """
 
     def __init__(self, graph, cocycle, family, budget, cells=()):
@@ -267,6 +271,8 @@ class _Search:
         self._next_id = 0
         self.dead = set()
         for c in cells:
+            # the search runs one component at a time
+            require_same_component(graph, c, f"cell starting at vertex {int(c[0])}")
             self._install(c)
         self.nw = cocycle.component_normalized_weights(graph)
         self.fnw = np.zeros(n) if family.values is None else self.nw * family.values
@@ -274,6 +280,13 @@ class _Search:
         self.cell_of_v = memoryview(self.cell_of)
         self.nw_v = memoryview(self.nw)
         self.fnw_v = memoryview(self.fnw)
+        # No float sum of a component's nw exceeds its mass_bound: k positive
+        # terms summed in any order round to within a relative (k - 1)u of
+        # their exact total S, u = 2**-53 (Jeannerod and Rump 2013), so a
+        # chain's mass is at most S(1 + nu) and bincount's total at least
+        # S(1 - nu); the float 1 + 4nu, rounded product and all, covers that.
+        totals = np.bincount(graph.component_id, weights=self.nw, minlength=graph.component_count)
+        self.mass_bound = totals * (1.0 + 4.0 * n * 2.0**-53)
         sizes = np.bincount(graph.component_id, minlength=graph.component_count)
         self.small = sizes <= budget.exhaustive_limit
 
@@ -375,20 +388,24 @@ class _Search:
         in groups of equal fdot and may stop on each side at the first group
         scoring above the best found; see _Frontier.pick. A family without
         values has fdot 0 everywhere, so the smallest fitting unit is added.
-        A chain that runs to its end without absorbing a cell or yielding
-        marks its anchor dead.
+        The chain also ends once the ratio floor times its heaviest atom,
+        tested as that atom grows, exceeds the component's mass_bound:
+        admits then rejects every later snapshot. A chain that ends without
+        absorbing a cell or yielding marks its anchor dead.
 
         Each added vertex reads its neighbours once, through one
-        graph.neighbors call, unless its unit fills the chain to max_units:
-        a full chain stops before its next pick, and neither the yield test
-        nor the dead-anchor rule reads the frontier, so that unit's
-        neighbours are never read.
+        graph.neighbors call, unless its unit ends the chain, by filling it
+        to max_units or by the ratio floor: an ended chain stops before its
+        next pick, and neither the yield test nor the dead-anchor rule reads
+        the frontier, so that unit's neighbours are never read.
         """
         neighbors = self.graph.neighbors
         head = self.head_v
         cell_of = self.cell_of_v
         unit_stats = self.unit_stats
         admits = self.family.admits
+        floor = self.family.min_ratio
+        bound = float(self.mass_bound[self.graph.component_id[anchor]])
         cap = self.budget.max_units
 
         # units added or on the frontier
@@ -402,12 +419,11 @@ class _Search:
         cells_used = 0
 
         def add_unit(unit, stats, is_cell):
+            """Add a unit; True when the chain ends with it."""
             nonlocal mass, new_mass, old_mass, fsum, wmax, cells_used
             _, umass, fdot, umax = stats
             mass += umass
             fsum += fdot
-            if umax > wmax:
-                wmax = umax
             if is_cell:
                 old_mass += umass
                 cells_used += 1
@@ -416,9 +432,14 @@ class _Search:
                 new_mass += umass
                 members = (unit,)
             vertices.extend(members)
+            if umax > wmax:
+                wmax = umax
+                if floor * wmax > bound:
+                    # admits rejects mass < floor * wmax, this very product
+                    return True
             if len(vertices) >= cap:
                 # full: the chain ends before it would pick from a frontier
-                return
+                return True
             for v in members:
                 for w in neighbors(v).tolist():
                     w_unit = head[w]
@@ -426,23 +447,24 @@ class _Search:
                         continue
                     reached.add(w_unit)
                     frontier.add(w_unit, unit_stats(w_unit), cell_of[w_unit] >= 0)
+            return False
 
         stats = unit_stats(anchor)
         if stats[0] > cap:
             return
-        add_unit(anchor, stats, cell_of[anchor] >= 0)
+        ended = add_unit(anchor, stats, cell_of[anchor] >= 0)
         yielded = False
         while True:
             if new_mass > 0.0 and new_mass >= p * old_mass and admits(mass, fsum, wmax):
                 yielded = True
                 yield len(vertices)
-            room = cap - len(vertices)
-            if room <= 0:
+            if ended:
                 break
+            room = cap - len(vertices)
             unit = frontier.pick(fsum, room, max_cells is not None and cells_used >= max_cells)
             if unit is None:
                 break
-            add_unit(unit, *frontier.pop(unit))
+            ended = add_unit(unit, *frontier.pop(unit))
         if not yielded and cells_used == 0:
             self.dead.add(anchor)
 

@@ -36,7 +36,11 @@ def linf_reduction(values, mu, eps):
     check_unit_interval(eps, "eps")
     f = as_values_array(values)
     budget = (eps / 2.0) ** 2
-    levels = np.unique(np.abs(f))
+    # sorted and deduplicated by hand: np.unique takes numpy's hash path,
+    # which imports numpy.ma and builds a hash table, most of a small run's
+    # memory growth
+    levels = np.sort(np.abs(f))
+    levels = levels[np.concatenate([[True], levels[1:] != levels[:-1]])]
     candidates = np.concatenate([[0.0], levels])
 
     def tail(level):
@@ -185,12 +189,14 @@ def run_tiling(model, eps, max_stages=12, raise_on_stall=True):
         ):
             # The last stage installed no cell, so the contraction is
             # unchanged and this stage's family lies inside the last one.
-            # Every chain grows as it did then (lam, ratio and p never steer
-            # growth), and with no cell absorbed mass is 0, so no p test
-            # changes. The one family test, admits, compares
-            # mass < ratio * wmax and abs(fdot) < lam * mass; float rounding
-            # is monotone, so a set this family admits the last one admitted
-            # too, in every search, and it admitted none.
+            # lam and p never steer growth, and the ratio floor only ends a
+            # chain past every snapshot admits could pass; this floor is at
+            # least the last one and the budgets are equal, so every chain
+            # is a prefix of the one grown then. With no cell absorbed mass
+            # is 0, so no p test changes. The one family test, admits,
+            # compares mass < ratio * wmax and abs(fdot) < lam * mass; float
+            # rounding is monotone, so a set this family admits the last one
+            # admitted too, in every search, and it admitted none.
             q = idle_q
             qpart = Prepartition.empty(q.graph.vertex_count)
         else:
@@ -228,7 +234,7 @@ def run_tiling(model, eps, max_stages=12, raise_on_stall=True):
             and stage < max_stages
         ):
             stalled_comps = tuple(
-                sorted({int(c) for c in np.unique(graph.component_id[~covered])})
+                sorted(set(graph.component_id[~covered].tolist()))
             )
             state.status = "stalled"
             state.stall_components = stalled_comps

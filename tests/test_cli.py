@@ -59,3 +59,11 @@ class TestPackExitCodes:
         loop.write_text("2 1\n0 0\n0.0 0.0\n0.0 0.0\n")
         assert run_cli(monkeypatch, "pack", loop) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_audit_of_a_cell_across_components_is_an_error(self, monkeypatch, capsys, tmp_path):
+        graph_path = tmp_path / "two_edges.txt"
+        graph_path.write_text("4 2\n0 1\n2 3\n" + "0.0 0.0\n" * 4)
+        dump = tmp_path / "cross.txt"
+        dump.write_text("1 2\n")
+        assert run_cli(monkeypatch, "pack", graph_path, "--audit", dump) == 1
+        assert "error: cell starting at vertex 1 spans components" in capsys.readouterr().err

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -238,3 +241,22 @@ def test_linf_reduction_bisects_the_levels():
     levels = np.unique(np.abs(f))
     below = levels[np.searchsorted(levels, got.level) - 1]
     assert got.tail_l1 < 0.025**2 <= float(np.dot(atoms, np.maximum(np.abs(f) - below, 0.0)))
+
+
+def test_a_run_leaves_numpy_ma_unloaded():
+    """A plain np.unique takes numpy's hash path, which imports numpy.ma and
+    builds a hash table, most of a small run's memory growth; run_tiling
+    avoids it, so a run whose set-up did not load numpy.ma leaves it
+    unloaded. A fresh interpreter keeps other tests' imports out."""
+    code = (
+        "import sys\n"
+        "from ergodic_tiler import ModelSpec, generate_model, run_tiling\n"
+        "model = generate_model(ModelSpec('free_tree', 4))\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+        "run_tiling(model, eps=0.05, max_stages=8, raise_on_stall=False)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
