@@ -73,7 +73,7 @@ def union_identity_check(values, cocycle, U, V):
     V = as_vertex_array(V)
     require_nonempty(U, "U")
     require_nonempty(V, "V")
-    if np.intersect1d(U, V).size:
+    if np.intersect1d(U, V, assume_unique=True).size:
         raise NotDisjoint("U and V overlap")
     lhs = weighted_average(values, cocycle, np.concatenate([U, V]))
     anchor = float(max(cocycle.log_weight[U].max(), cocycle.log_weight[V].max()))
@@ -145,7 +145,7 @@ def growth_slack(values, cocycle, U, V):
     """
     U = as_vertex_array(U)
     V = as_vertex_array(V)
-    rest = np.setdiff1d(V, U)
+    rest = np.setdiff1d(V, U, assume_unique=True)
     if rest.size == 0:
         return 0.0
     vals = as_values_array(values)
@@ -167,7 +167,7 @@ def intermediate_value_grow(graph, values, cocycle, U, V, r):
     U = as_vertex_array(U, graph.vertex_count)
     V = as_vertex_array(V, graph.vertex_count)
     require_nonempty(U, "U")
-    if np.setdiff1d(U, V).size:
+    if np.setdiff1d(U, V, assume_unique=True).size:
         raise ValueError("U must be contained in V")
     require_same_component(graph, V)
     if not is_connected_set(graph, U) or not is_connected_set(graph, V):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import TooLargeForExact, VanishingPrecondition
 from .graph import label_components
-from .validation import as_vertex_array
+from .validation import as_vertex_array, sorted_distinct
 
 EXACT_COMPONENT_LIMIT = 20
 
@@ -388,7 +388,7 @@ def vanishing_sequence(sets, mu):
     for i in range(n_sets):
         tail = arrays[i + 1:]
         if tail:
-            out.append(np.unique(np.concatenate(tail)))
+            out.append(sorted_distinct(np.concatenate(tail)))
         else:
             out.append(np.empty(0, dtype=np.int64))
     if arrays and mu.mass(arrays[-1]) > 0:
@@ -417,7 +417,7 @@ def limsup_mass(sets, mu, period=None):
         if not (1 <= period <= len(arrays)):
             raise ValueError("period must be between 1 and len(sets)")
         tail = arrays[-period:]
-    limsup_set = np.unique(np.concatenate([a for a in tail] + [np.empty(0, dtype=np.int64)]))
+    limsup_set = sorted_distinct(np.concatenate(tail))
     mass_of_limsup = mu.mass(limsup_set)
     limsup_of_mass = max(mu.mass(a) for a in tail)
     return mass_of_limsup, limsup_of_mass

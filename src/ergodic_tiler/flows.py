@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CrossComponent, InsufficientCapacity, MalformedFlow, NotClosed, NotDisjoint
 from .graph import rho_sorted
-from .validation import as_vertex_array
+from .validation import as_vertex_array, sorted_distinct
 
 NET_TOL = 1e-12
 BOUND_TOL = 1e-12
@@ -116,7 +116,7 @@ def define_flow(relation, cocycle, U, V, w, exact=False):
     """
     U = as_vertex_array(U, relation.vertex_count)
     V = as_vertex_array(V, relation.vertex_count)
-    if np.intersect1d(U, V).size:
+    if np.intersect1d(U, V, assume_unique=True).size:
         raise NotDisjoint("U and V overlap")
 
     if isinstance(w, dict):
@@ -136,8 +136,7 @@ def define_flow(relation, cocycle, U, V, w, exact=False):
             raise MalformedFlow(f"w({u}) = {s} exceeds the unit out-flow bound")
 
     entries = {}
-    u_class = {int(ci) for ci in np.unique(relation.class_of[U])} if U.size else set()
-    for ci in sorted(u_class):
+    for ci in sorted_distinct(relation.class_of[U]).tolist():
         cls = relation.classes[ci]
         cls_u = [int(x) for x in cls if x in supply and supply[int(x)] > 0]
         if not cls_u:
@@ -207,10 +206,10 @@ def balance_check(flow, graph, cocycle, U, V, exact=False):
     """
     U = as_vertex_array(U, graph.vertex_count)
     V = as_vertex_array(V, graph.vertex_count)
-    all_v = np.union1d(U, V)
+    all_v = sorted_distinct(np.concatenate([U, V]))
     if all_v.size == 0:
         return (0.0, 0.0)
-    comps = np.unique(graph.component_id[all_v])
+    comps = sorted_distinct(graph.component_id[all_v])
     if comps.size > 1:
         raise CrossComponent("U and V must lie in one component")
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DisconnectedClass, MalformedGraph
-from .validation import as_values_array, as_vertex_array, require_nonempty, require_same_component
+from .validation import as_values_array, as_vertex_array, require_nonempty, require_same_component, sorted_distinct
 
 
 class WeightedGraph:
@@ -365,8 +365,7 @@ def quotient(graph, cocycle, values, relation):
 
     # each crossing edge codes its class pair as lo * k + hi; sorted and
     # deduplicated, the codes are the quotient's edges in (lo, hi) order
-    codes = np.sort(np.minimum(cu, cv)[cross] * k + np.maximum(cu, cv)[cross])
-    codes = codes[np.concatenate([[True], codes[1:] != codes[:-1]])] if codes.size else codes
+    codes = sorted_distinct(np.minimum(cu, cv)[cross] * k + np.maximum(cu, cv)[cross])
     edges = np.stack(np.divmod(codes, k), axis=1)
     # every class is connected, so its members share one component label,
     # and both labellings number components by their smallest member

@@ -10,6 +10,7 @@ import numpy as np
 from .averages import VertexFunction
 from .errors import BadModel
 from .graph import Cocycle, RhoMeasure, WeightedGraph, build_graph
+from .validation import sorted_distinct
 
 MODEL_KINDS = ("rotation", "odometer", "bernoulli", "free_tree", "random_regular")
 
@@ -112,7 +113,7 @@ def _bernoulli(spec):
     x, y = x[x != y], y[x != y]
     # code each pair as lo * size + hi; the sorted distinct codes are the
     # edges in (lo, hi) order
-    edges = np.stack(np.divmod(np.unique(np.minimum(x, y) * size + np.maximum(x, y)), size), axis=1)
+    edges = np.stack(np.divmod(sorted_distinct(np.minimum(x, y) * size + np.maximum(x, y)), size), axis=1)
     ones = np.zeros(size)
     for bit in range(d):
         ones += (xs >> bit) & 1

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import EmptySet, InvariantBreach
 from .graph import is_connected_set, quotient
 from .partition import Prepartition
-from .validation import as_values_array, as_vertex_array, check_positive, require_same_component
+from .validation import as_values_array, as_vertex_array, check_positive, require_same_component, sorted_distinct
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def family_S_membership(graph, values, cocycle, U, lam, min_ratio, relation):
     check_positive(lam, "lam")
     check_positive(min_ratio, "min_ratio")
     U = as_vertex_array(U, graph.vertex_count)
-    classes = np.unique(relation.class_of[U])
+    classes = sorted_distinct(relation.class_of[U])
     if np.isin(relation.class_of, classes).sum() != U.size:
         return False
     q = quotient(graph, cocycle, values, relation)
@@ -298,11 +298,13 @@ class _Search:
         self.head[vertices] = vertices[0]
 
     def met_cells(self, vertices):
-        """Ids of the cells meeting the vertices, and whether one of them is
-        cut: meets the vertices without lying inside them."""
+        """Ids of the cells meeting the vertices, ascending, and whether one of
+        them is cut: meets the vertices without lying inside them. The ids go
+        through sorted_distinct, as a plain np.unique would load numpy.ma
+        inside a run."""
         inside = self.cell_of[vertices]
         inside = inside[inside >= 0]
-        met = np.unique(inside).tolist()
+        met = sorted_distinct(inside).tolist()
         return met, sum(len(self.cells[ci]) for ci in met) != inside.size
 
     def apply(self, vertices):
@@ -486,7 +488,7 @@ class _Search:
         head, cell_of, unit_stats = self.head_v, self.cell_of_v, self.unit_stats
         adj = {
             u: {head[w] for v in self.unit_vertices(u) for w in self.graph.neighbors(v).tolist()} - {u}
-            for u in np.unique(self.head[members]).tolist()
+            for u in sorted_distinct(self.head[members]).tolist()
         }
         for a in adj:
             group = []

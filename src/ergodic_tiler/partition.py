@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import NotCoherent
 from .graph import is_connected_set, label_components
-from .validation import as_vertex_array
+from .validation import as_vertex_array, sorted_distinct
 
 
 def _canonical_labels(labels):
@@ -121,7 +121,7 @@ class EquivRel:
 
     def refines(self, other):
         """True iff every class of self is contained in a class of other."""
-        return all(np.unique(other.class_of[c]).size == 1 for c in self.classes)
+        return all(sorted_distinct(other.class_of[c]).size == 1 for c in self.classes)
 
     def __eq__(self, other):
         if not isinstance(other, EquivRel):
@@ -184,7 +184,7 @@ class Prepartition:
         U = as_vertex_array(U, self.vertex_count)
         mask = np.zeros(self.vertex_count, dtype=bool)
         mask[U] = True
-        for ci in np.unique(self.cell_of[U]):
+        for ci in sorted_distinct(self.cell_of[U]):
             if ci >= 0 and not mask[self.cells[ci]].all():
                 return False
         return True
@@ -195,7 +195,7 @@ class Prepartition:
         mask = np.zeros(self.vertex_count, dtype=bool)
         mask[U] = True
         out = []
-        for ci in np.unique(self.cell_of[U]):
+        for ci in sorted_distinct(self.cell_of[U]):
             if ci >= 0 and mask[self.cells[ci]].all():
                 out.append(int(ci))
         return out

@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averages import VertexFunction
-from .errors import BadDenominator, NotFitted, StallDiagnostic
+from .errors import BadDenominator, EmptySet, NotFitted, StallDiagnostic
 from .graph import Cocycle, RhoMeasure, class_means, quotient
 from .packing import CentralFamily, SearchBudget, packed_and_saturated
 from .partition import EquivRel, Prepartition
 from .reports import ConvergenceReport
-from .validation import as_values_array, check_positive, check_unit_interval
+from .validation import as_values_array, check_positive, check_unit_interval, sorted_distinct
 
 
 @dataclass(frozen=True)
@@ -36,12 +36,8 @@ def linf_reduction(values, mu, eps):
     check_unit_interval(eps, "eps")
     f = as_values_array(values)
     budget = (eps / 2.0) ** 2
-    # sorted and deduplicated by hand: np.unique takes numpy's hash path,
-    # which imports numpy.ma and builds a hash table, most of a small run's
-    # memory growth
-    levels = np.sort(np.abs(f))
-    levels = levels[np.concatenate([[True], levels[1:] != levels[:-1]])]
-    candidates = np.concatenate([[0.0], levels])
+    # level 0 and the distinct |f_i|, ascending; an empty f has level 0 alone
+    candidates = np.concatenate([[0.0], sorted_distinct(np.abs(f))])
 
     def tail(level):
         terms = np.maximum(np.abs(f) - level, 0.0)
@@ -111,11 +107,13 @@ def _stage_statistics(cocycle, mu, f, relation, target, eps, frontier, g=None):
     mass_within = float(mu.atoms[ok].sum())
     frontier_mass = float(mu.atoms[touched[labels]].sum())
 
+    # every vertex has a class, so the mean size is labels.size / k, the float
+    # sizes.mean() gives; its first call faults in 64 KiB of numpy code
     sizes = np.bincount(labels, minlength=k)
     hist = {}
     for s in sizes:
         hist[int(s)] = hist.get(int(s), 0) + 1
-    return mass_within, frontier_mass, int(sizes.max()), float(sizes.mean()), hist
+    return mass_within, frontier_mass, int(sizes.max()), labels.size / k, hist
 
 
 def _new_report(model, eps, max_stages, target):
@@ -139,11 +137,13 @@ def run_tiling(model, eps, max_stages=12, raise_on_stall=True):
     Stops as soon as tiles within eps of the global mean carry mass 1 - eps,
     or after max_stages with diagnostics. A stage that adds no coverage and no
     statistic progress raises StallDiagnostic (carrying the partial state)
-    unless raise_on_stall is false.
+    unless raise_on_stall is false. A model with no vertices raises EmptySet.
     """
     check_unit_interval(eps, "eps")
     graph, cocycle, mu = model.graph, model.cocycle, model.measure
     n = graph.vertex_count
+    if n == 0:
+        raise EmptySet("model has no vertices")
     f = as_values_array(model.values, n)
     frontier = model.frontier
 
@@ -151,7 +151,7 @@ def run_tiling(model, eps, max_stages=12, raise_on_stall=True):
     centered = f - target
     reduction = linf_reduction(centered, mu, eps)
     g = reduction.values
-    sup = float(np.abs(g).max()) if n else 0.0
+    sup = float(np.abs(g).max())
     delta = cutting_one_side_delta(eps, sup)
     lambdas, ratios, packs = schedule_constants(delta, sup, max_stages)
 

@@ -67,3 +67,11 @@ class TestPackExitCodes:
         dump.write_text("1 2\n")
         assert run_cli(monkeypatch, "pack", graph_path, "--audit", dump) == 1
         assert "error: cell starting at vertex 1 spans components" in capsys.readouterr().err
+
+
+class TestTileExitCodes:
+    def test_tile_of_a_graph_with_no_vertices_is_an_error(self, monkeypatch, capsys, tmp_path):
+        empty = tmp_path / "no_vertices.txt"
+        empty.write_text("0 0\n")
+        assert run_cli(monkeypatch, "tile", empty) == 1
+        assert "error: model has no vertices" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergodic_tiler import (
+    EmptySet,
     EquivRel,
     ErgodicTiler,
     ModelBundle,
@@ -243,20 +244,57 @@ def test_linf_reduction_bisects_the_levels():
     assert got.tail_l1 < 0.025**2 <= float(np.dot(atoms, np.maximum(np.abs(f) - below, 0.0)))
 
 
-def test_a_run_leaves_numpy_ma_unloaded():
+def test_linf_reduction_of_no_values_is_level_zero():
+    mu = RhoMeasure(component_mass=np.ones(0), atoms=np.empty(0))
+    got = tiling.linf_reduction(np.empty(0), mu, 0.1)
+    assert (got.level, got.tail_l1, got.values.size) == (0.0, 0.0, 0)
+
+
+def test_a_model_with_no_vertices_raises_empty_set():
+    graph, cocycle = build_graph([], np.empty(0))
+    model = ModelBundle(
+        spec=ModelSpec("file", 0),
+        graph=graph,
+        cocycle=cocycle,
+        measure=RhoMeasure.from_cocycle(graph, cocycle),
+        values=VertexFunction(np.empty(0)),
+        frontier=np.empty(0, dtype=np.int64),
+        raw_mean=0.0,
+    )
+    with pytest.raises(EmptySet, match="model has no vertices"):
+        run_tiling(model, eps=0.05)
+
+
+NUMPY_MA_MODELS = [
+    ModelSpec("rotation", 64),
+    ModelSpec("odometer", 8, p=0.4),
+    ModelSpec("bernoulli", 8, p=0.3, q=0.5),
+    # stage 2 reaches the complete search, _Search._exhaustive
+    ModelSpec("free_tree", 3),
+    ModelSpec("free_tree", 4),
+]
+
+
+@pytest.mark.parametrize("spec", NUMPY_MA_MODELS, ids=lambda s: f"{s.kind}-{s.n}")
+def test_a_run_leaves_numpy_ma_unloaded(spec):
     """A plain np.unique takes numpy's hash path, which imports numpy.ma and
-    builds a hash table, most of a small run's memory growth; run_tiling
-    avoids it, so a run whose set-up did not load numpy.ma leaves it
-    unloaded. A fresh interpreter keeps other tests' imports out."""
+    builds a hash table, most of a small run's memory growth. Set-up, the run
+    and a found pack (is_p_pack, is_invariant, cells_inside) go through
+    sorted_distinct instead, so none of them loads numpy.ma. A fresh
+    interpreter keeps other tests' imports out."""
     code = (
         "import sys\n"
-        "from ergodic_tiler import ModelSpec, generate_model, run_tiling\n"
-        "model = generate_model(ModelSpec('free_tree', 4))\n"
-        "assert 'numpy.ma' not in sys.modules\n"
+        "from ergodic_tiler import ConnectedFamily, ModelSpec, Prepartition, find_pack, generate_model, run_tiling\n"
+        f"model = generate_model({spec!r})\n"
+        "assert 'numpy.ma' not in sys.modules, 'set-up'\n"
         "run_tiling(model, eps=0.05, max_stages=8, raise_on_stall=False)\n"
+        "assert 'numpy.ma' not in sys.modules, 'run'\n"
+        "empty = Prepartition.empty(model.graph.vertex_count)\n"
+        "assert find_pack(model.graph, model.cocycle, ConnectedFamily(), empty, 1.0) is not None\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
