@@ -18,7 +18,6 @@ from .errors import (
     NotDisjoint,
     NotFitted,
     StallDiagnostic,
-    TargetOutOfRange,
     TooLargeForExact,
 )
 from .graph import (
@@ -36,15 +35,7 @@ from .graph import (
     write_graph_file,
 )
 from .partition import CoherentLimit, EquivRel, Prepartition, coherent_limit
-from .averages import (
-    GrowthResult,
-    VertexFunction,
-    chebyshev_restriction,
-    intermediate_value_grow,
-    mean_over,
-    union_identity_check,
-    weighted_average,
-)
+from .averages import VertexFunction, mean_over
 from .flows import (
     BalanceReport,
     RhoFlow,

@@ -25,10 +25,6 @@ class NotDisjoint(ErgodicTilerError):
     """Sets expected to be disjoint overlap."""
 
 
-class TargetOutOfRange(ErgodicTilerError):
-    """Target value lies outside the admissible interval."""
-
-
 class MalformedFlow(ErgodicTilerError):
     """Flow has negative entries or violates the unit bounds."""
 

@@ -388,7 +388,7 @@ def read_graph_file(path):
     """Parse the line-oriented graph format.
 
     Header ``n m``, then m edge lines ``u v``, then n lines ``logw f``.
-    ``#`` starts a comment.
+    ``#`` starts a comment. Every f must be finite.
     """
     tokens = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -412,6 +412,8 @@ def read_graph_file(path):
             raise MalformedGraph(f"{path}: vertex line {i} must be 'logw f'")
         logw[i] = float(t[0])
         vals[i] = float(t[1])
+        if not math.isfinite(vals[i]):
+            raise MalformedGraph(f"{path}: vertex line {i} has a non-finite f")
     graph, cocycle = build_graph(edges, logw)
     return graph, cocycle, vals
 

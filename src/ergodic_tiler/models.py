@@ -55,7 +55,7 @@ class ModelBundle:
 def _bundle(spec, graph, cocycle, raw, frontier=()):
     """The model with the observable raw centred under its invariant measure."""
     measure = RhoMeasure.from_cocycle(graph, cocycle)
-    m = VertexFunction(raw).mean(measure)
+    m = measure.integrate(raw)
     frontier = np.array(frontier, dtype=np.int64)
     return ModelBundle(spec, graph, cocycle, measure, VertexFunction(raw - m), frontier, m)
 

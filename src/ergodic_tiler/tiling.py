@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .averages import VertexFunction
+from .averages import VertexFunction, mean_over
 from .errors import BadDenominator, EmptySet, NotFitted, StallDiagnostic
 from .graph import Cocycle, RhoMeasure, class_means, quotient
 from .packing import CentralFamily, SearchBudget, packed_and_saturated
@@ -151,7 +151,8 @@ def run_tiling(model, eps, max_stages=12, raise_on_stall=True):
     centered = f - target
     reduction = linf_reduction(centered, mu, eps)
     g = reduction.values
-    sup = float(np.abs(g).max())
+    # clipping maps every |f_i| at or above the level to the level exactly
+    sup = reduction.level
     delta = cutting_one_side_delta(eps, sup)
     lambdas, ratios, packs = schedule_constants(delta, sup, max_stages)
 
@@ -261,8 +262,8 @@ def ratio_experiment(model, g, eps, max_stages=12, f=None, raise_on_stall=True):
     With g identically 1 this reduces to run_tiling on the original weights.
     """
     garr = as_values_array(g, model.graph.vertex_count)
-    if np.any(garr <= 0):
-        raise BadDenominator("g must be strictly positive everywhere")
+    if not np.all(np.isfinite(garr) & (garr > 0)):
+        raise BadDenominator("g must be finite and strictly positive everywhere")
     farr = as_values_array(f if f is not None else model.values, model.graph.vertex_count)
 
     graph = model.graph
@@ -326,13 +327,11 @@ class ErgodicTiler:
             raise NotFitted("call fit(model) first")
 
     def transform(self, values=None):
-        """Average an observable over the learned tiles (per-vertex output)."""
+        """E[f | R] on the learned relation: each vertex gets its tile's weighted mean of f."""
         self._check_fitted()
         model = self.model_
-        vals = as_values_array(values if values is not None else model.values, model.graph.vertex_count)
-        labels = self.relation_.class_of
-        means, _ = class_means(model.cocycle, labels, self.relation_.class_count, vals)
-        return means[labels]
+        vals = values if values is not None else model.values
+        return mean_over(model.graph, vals, model.cocycle, self.relation_)
 
     def fit_transform(self, model, values=None):
         return self.fit(model).transform(values)

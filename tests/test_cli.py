@@ -75,3 +75,12 @@ class TestTileExitCodes:
         empty.write_text("0 0\n")
         assert run_cli(monkeypatch, "tile", empty) == 1
         assert "error: model has no vertices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["tile", "pack"])
+def test_a_non_finite_f_is_an_error(monkeypatch, capsys, tmp_path, command):
+    bad = tmp_path / "nan_f.txt"
+    bad.write_text("2 1\n0 1\n0.0 nan\n0.0 0.0\n")
+    assert run_cli(monkeypatch, command, bad) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "vertex line 0 has a non-finite f" in err

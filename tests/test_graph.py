@@ -556,3 +556,10 @@ class TestGraphFile:
         g, c, f = read_graph_file(path)
         assert g.vertex_count == 2
         assert f.tolist() == [1.0, -1.0]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_f_rejected(self, tmp_path, value):
+        path = tmp_path / "g.txt"
+        path.write_text(f"2 1\n0 1\n0.0 1.0\n0.0 {value}\n")
+        with pytest.raises(MalformedGraph, match="vertex line 1 has a non-finite f"):
+            read_graph_file(path)

@@ -25,7 +25,6 @@ from ergodic_tiler import (
     packed_and_saturated,
     quotient,
     run_tiling,
-    weighted_average,
 )
 from ergodic_tiler import packing
 from ergodic_tiler.packing import (
@@ -679,8 +678,8 @@ def reference_family_S_membership(graph, values, cocycle, U, lam, min_ratio, rel
         return False, None, None
     if not is_connected_set(graph, U):
         return False, None, None
-    average = weighted_average(values, cocycle, U)
     w = np.exp(cocycle.log_weight - cocycle.log_weight[U].max())
+    average = float(np.dot(np.asarray(values, dtype=float)[U], w[U]) / w[U].sum())
     ratio = float(w[U].sum()) / max(float(w[relation.classes[ci]].sum()) for ci in met)
     return -lam < average < lam and ratio >= min_ratio, average, ratio
 

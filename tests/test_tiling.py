@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergodic_tiler import (
+    BadDenominator,
     EmptySet,
     EquivRel,
     ErgodicTiler,
@@ -122,6 +123,12 @@ def test_estimator_fits_the_run_tiling_chain():
     tiler = ErgodicTiler(eps=0.05, max_stages=12).fit(model)
     assert tiler.report_.status == report.status
     assert np.array_equal(tiler.labels_, state.relations[-1].class_of)
+    # transform is E[f | R] on the fitted relation: it keeps the integral and
+    # is constant on every class
+    means = tiler.transform()
+    assert abs(model.measure.integrate(means) - model.measure.integrate(model.values)) <= 1e-12
+    for cls in tiler.relation_.classes:
+        assert np.all(means[cls] == means[cls[0]])
 
 
 def test_a_stage_after_one_that_installed_nothing_searches_nothing(monkeypatch):
@@ -182,6 +189,15 @@ def test_ratio_experiment_scores_against_the_ratio_of_means():
         assert row.mass_within_eps != pytest.approx(mass_within(relation, float(np.dot(atoms, f))), abs=0.1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_ratio_experiment_rejects_a_denominator_that_is_not_finite_and_positive(bad):
+    model = generate_model(ModelSpec("rotation", 12))
+    g = np.ones(model.graph.vertex_count)
+    g[5] = bad
+    with pytest.raises(BadDenominator, match="finite and strictly positive"):
+        ratio_experiment(model, g, eps=0.05, max_stages=2, raise_on_stall=False)
+
+
 def scan_reduction(f, atoms, eps):
     """Reference: the first candidate level whose tail is below the budget,
     found by trying every level in turn. Returns (level, tail)."""
@@ -219,6 +235,8 @@ def test_linf_reduction_finds_the_scan_level(case):
     level, tail = scan_reduction(f, atoms, eps)
     assert got.level == level and got.tail_l1 == tail
     assert np.array_equal(got.values, np.clip(f, -level, level))
+    # run_tiling reads the clipped observable's sup norm off the level
+    assert float(np.abs(got.values).max()) == got.level
 
 
 def test_linf_reduction_bisects_the_levels():
