@@ -47,9 +47,23 @@ def _parse_config(path):
     return cfg
 
 
+# the run's tolerance and stage count, for options and config keys alike
+EPS = click.FloatRange(0, 1, min_open=True, max_open=True)
+STAGES = click.IntRange(min=1)
+
+
 def _cfg(cfg, key, default, cast):
+    """The config value under key, through cast, or default when absent.
+
+    cast is a builtin such as int or a click parameter type; a value it
+    rejects is a usage error naming the key."""
     raw = cfg.get(key)
-    return default if raw is None else cast(raw)
+    if raw is None:
+        return default
+    try:
+        return cast(raw)
+    except (ValueError, click.BadParameter) as exc:
+        raise click.ClickException(f"config {key}: {exc}") from None
 
 
 class _Ctx:
@@ -111,14 +125,14 @@ def _finish_run(ctx_obj, state, report, eps):
 
 @main.command()
 @click.argument("graph_path", type=click.Path(exists=True))
-@click.option("--eps", type=float, default=None, help="tolerance (default from config run.eps)")
-@click.option("--max-stages", type=int, default=None)
+@click.option("--eps", type=EPS, default=None, help="tolerance (default from config run.eps)")
+@click.option("--max-stages", type=STAGES, default=None)
 @click.pass_obj
 def tile(obj, graph_path, eps, max_stages):
     """Run the tiling loop on a graph file (logw and f per vertex)."""
     graph, cocycle, measure, values = _load_instance(graph_path)
-    eps = eps if eps is not None else _cfg(obj.config, "run.eps", 0.05, float)
-    max_stages = max_stages if max_stages is not None else _cfg(obj.config, "run.max_stages", 12, int)
+    eps = eps if eps is not None else _cfg(obj.config, "run.eps", 0.05, EPS)
+    max_stages = max_stages if max_stages is not None else _cfg(obj.config, "run.max_stages", 12, STAGES)
     from .models import ModelBundle
 
     bundle = ModelBundle(
@@ -246,8 +260,8 @@ def price(obj, graph_path, mode, threshold, method):
 def ergodic_run(obj):
     """Tiling convergence experiment on a model from the config."""
     spec = _model_from_config(obj)
-    eps = _cfg(obj.config, "run.eps", 0.05, float)
-    max_stages = _cfg(obj.config, "run.max_stages", 12, int)
+    eps = _cfg(obj.config, "run.eps", 0.05, EPS)
+    max_stages = _cfg(obj.config, "run.max_stages", 12, STAGES)
     model = generate_model(spec)
     click.echo(f"model: {spec.kind} n={spec.n} p={spec.p} q={spec.q} seed={spec.seed}")
     state, report = run_tiling(model, eps, max_stages, raise_on_stall=False)
@@ -261,8 +275,8 @@ def ergodic_run(obj):
 def ratio_run(obj, g_kind):
     """Two-function ratio experiment on a model from the config."""
     spec = _model_from_config(obj)
-    eps = _cfg(obj.config, "run.eps", 0.05, float)
-    max_stages = _cfg(obj.config, "run.max_stages", 12, int)
+    eps = _cfg(obj.config, "run.eps", 0.05, EPS)
+    max_stages = _cfg(obj.config, "run.max_stages", 12, STAGES)
     model = generate_model(spec)
     n = model.graph.vertex_count
     if g_kind == "ones":

@@ -22,7 +22,7 @@ from .validation import as_values_array, as_vertex_array, require_nonempty, requ
 class WeightedGraph:
     """Simple undirected graph in CSR form with per-vertex component labels."""
 
-    __slots__ = ("vertex_count", "indptr", "indices", "component_id", "_edges")
+    __slots__ = ("vertex_count", "indptr", "indices", "component_id", "_edges", "_bounds")
 
     def __init__(self, vertex_count, indptr, indices, component_id, edges):
         self.vertex_count = int(vertex_count)
@@ -30,9 +30,12 @@ class WeightedGraph:
         self.indices = indices
         self.component_id = component_id
         self._edges = edges
+        # row bounds as plain Python ints, for the greedy search's per-vertex reads
+        self._bounds = memoryview(indptr)
 
     def neighbors(self, v):
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
+        bounds = self._bounds
+        return self.indices[bounds[v]:bounds[v + 1]]
 
     def degree(self, v):
         return int(self.indptr[v + 1] - self.indptr[v])
@@ -84,7 +87,7 @@ def label_components(n, edges, keep=None):
         np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
         while True:
             up = root[root]
-            if np.array_equal(up, root):
+            if (up == root).all():
                 break
             root = up
     heads = root == np.arange(n)
@@ -204,7 +207,12 @@ def outer_boundary(graph, U):
 
 def is_connected_set(graph, U):
     """True iff the induced subgraph on U is connected; empty and singletons count."""
-    U = as_vertex_array(U, graph.vertex_count)
+    return _is_connected_sorted(graph, as_vertex_array(U, graph.vertex_count))
+
+
+def _is_connected_sorted(graph, U):
+    """is_connected_set for an int64 array U that is already sorted, distinct
+    and in range, as as_vertex_array returns it."""
     if U.size <= 1:
         return True
     # gather the CSR rows of U only, so the cost is O(|U| + edges at U), not O(n)
@@ -388,7 +396,9 @@ def read_graph_file(path):
     """Parse the line-oriented graph format.
 
     Header ``n m``, then m edge lines ``u v``, then n lines ``logw f``.
-    ``#`` starts a comment. Every f must be finite.
+    ``#`` starts a comment. Every f must be finite. A line with the wrong
+    number of tokens, or a token that does not parse, raises MalformedGraph
+    naming the line.
     """
     tokens = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -398,20 +408,27 @@ def read_graph_file(path):
                 tokens.append(line.split())
     if not tokens:
         raise MalformedGraph(f"{path}: empty graph file")
-    header = tokens[0]
-    if len(header) != 2:
-        raise MalformedGraph(f"{path}: header must be 'n m'")
-    n, m = int(header[0]), int(header[1])
+    # a wrong token count fails an unpacking with a ValueError, as a bad token does
+    try:
+        n, m = map(int, tokens[0])
+    except ValueError:
+        raise MalformedGraph(f"{path}: header must be 'n m'") from None
     if len(tokens) != 1 + m + n:
         raise MalformedGraph(f"{path}: expected {1 + m + n} lines, found {len(tokens)}")
-    edges = [(int(t[0]), int(t[1])) for t in tokens[1:1 + m]]
+    edges = []
+    for i, t in enumerate(tokens[1:1 + m]):
+        try:
+            u, v = map(int, t)
+        except ValueError:
+            raise MalformedGraph(f"{path}: edge line {i} must be 'u v', two integers") from None
+        edges.append((u, v))
     logw = np.empty(n)
     vals = np.empty(n)
     for i, t in enumerate(tokens[1 + m:]):
-        if len(t) != 2:
-            raise MalformedGraph(f"{path}: vertex line {i} must be 'logw f'")
-        logw[i] = float(t[0])
-        vals[i] = float(t[1])
+        try:
+            logw[i], vals[i] = map(float, t)
+        except ValueError:
+            raise MalformedGraph(f"{path}: vertex line {i} must be 'logw f', two numbers") from None
         if not math.isfinite(vals[i]):
             raise MalformedGraph(f"{path}: vertex line {i} has a non-finite f")
     graph, cocycle = build_graph(edges, logw)

@@ -22,7 +22,7 @@ from math import inf
 import numpy as np
 
 from .errors import EmptySet, InvariantBreach
-from .graph import is_connected_set, quotient
+from .graph import _is_connected_sorted, quotient
 from .partition import Prepartition
 from .validation import as_values_array, as_vertex_array, check_positive, require_same_component, sorted_distinct
 
@@ -76,7 +76,7 @@ class ConnectedFamily(CellFamily):
 
     def contains(self, graph, cocycle, vertices):
         v = as_vertex_array(vertices, graph.vertex_count)
-        return v.size > 0 and is_connected_set(graph, v)
+        return v.size > 0 and _is_connected_sorted(graph, v)
 
 
 class CentralFamily(CellFamily):
@@ -95,7 +95,7 @@ class CentralFamily(CellFamily):
 
     def contains(self, graph, cocycle, vertices):
         v = as_vertex_array(vertices, graph.vertex_count)
-        if v.size == 0 or not is_connected_set(graph, v):
+        if v.size == 0 or not _is_connected_sorted(graph, v):
             return False
         lw = cocycle.log_weight[v]
         w = np.exp(lw - lw.max())
@@ -162,77 +162,55 @@ def is_p_pack(graph, cocycle, prepart, A, p):
     )
 
 
-class _Frontier:
-    """The units next to a growing chain, sorted by (fdot, unit).
+def _pick(order, units, fsum, room, no_cells):
+    """The eligible frontier unit with the smallest (abs(fsum + fdot), unit), or None.
 
-    fdot is a unit's values-weighted mass, the third of its unit_stats, and a
-    unit is named by its smallest vertex. A unit's stats cannot change while
-    a chain grows, so an entry stays as it was added until it is popped.
+    order is the frontier sorted by (fdot, unit), and units maps each unit
+    on it to (its unit_stats, whether it is a cell); fdot is a unit's
+    values-weighted mass, the third of its unit_stats, and a unit is named
+    by its smallest vertex. A unit is eligible when its size is at most room
+    and, with no_cells set, it is not a cell. From the split, the first entry
+    with fdot >= -fsum, rightward fsum + fdot is >= 0 and non-decreasing, and
+    leftward it is <= 0 and non-increasing; float rounding is monotone, so
+    this holds for the computed sums too, and the score never falls moving
+    away from the split on either side. The walk therefore visits the groups
+    of equal fdot outward from the split, right side first, and stops on a
+    side at the first group scoring above the best found. Inside a group
+    every score is equal and units ascend, so the group's first eligible unit
+    is its best: the right walk skips the rest of a group by bisect once it
+    meets one, and the left walk scans each group from its start.
     """
-
-    def __init__(self):
-        self.order = []
-        self.units = {}
-
-    def add(self, unit, stats, is_cell):
-        """Queue a unit with its unit_stats and whether it is a cell."""
-        insort(self.order, (stats[2], unit))
-        self.units[unit] = (stats, is_cell)
-
-    def pop(self, unit):
-        """Remove a queued unit; returns what add was given for it."""
-        entry = self.units.pop(unit)
-        del self.order[bisect_left(self.order, (entry[0][2], unit))]
-        return entry
-
-    def pick(self, fsum, room, no_cells):
-        """The eligible unit with the smallest (abs(fsum + fdot), unit), or None.
-
-        A unit is eligible when its size is at most room and, with no_cells
-        set, it is not a cell. From the split, the first entry with
-        fdot >= -fsum, rightward fsum + fdot is >= 0 and non-decreasing, and
-        leftward it is <= 0 and non-increasing; float rounding is monotone,
-        so this holds for the computed sums too, and the score never falls
-        moving away from the split on either side. The walk therefore visits
-        the groups of equal fdot outward from the split, right side first,
-        and stops on a side at the first group scoring above the best found.
-        Inside a group every score is equal and units ascend, so the group's
-        first eligible unit is its best: the right walk skips the rest of a
-        group by bisect once it meets one, and the left walk scans each group
-        from its start.
-        """
-        order, units = self.order, self.units
-        best_score, best = inf, None
-        split = bisect_left(order, (-fsum, -1))
-        i = split
-        while i < len(order):
-            fdot, unit = order[i]
-            score = abs(fsum + fdot)
-            if score > best_score:
-                break
+    best_score, best = inf, None
+    split = bisect_left(order, (-fsum, -1))
+    i = split
+    while i < len(order):
+        fdot, unit = order[i]
+        score = abs(fsum + fdot)
+        if score > best_score:
+            break
+        stats, is_cell = units[unit]
+        if stats[0] <= room and not (no_cells and is_cell):
+            # score <= best_score here, so this compares (score, unit)
+            if best is None or score < best_score or unit < best:
+                best_score, best = score, unit
+            i = bisect_left(order, (fdot, inf), i)
+        else:
+            i += 1
+    i = split - 1
+    while i >= 0:
+        fdot = order[i][0]
+        score = abs(fsum + fdot)
+        if score > best_score:
+            break
+        lo = bisect_left(order, (fdot, -1), 0, i)
+        for _, unit in order[lo : i + 1]:
             stats, is_cell = units[unit]
             if stats[0] <= room and not (no_cells and is_cell):
-                # score <= best_score here, so this compares (score, unit)
                 if best is None or score < best_score or unit < best:
                     best_score, best = score, unit
-                i = bisect_left(order, (fdot, inf), i)
-            else:
-                i += 1
-        i = split - 1
-        while i >= 0:
-            fdot = order[i][0]
-            score = abs(fsum + fdot)
-            if score > best_score:
                 break
-            lo = bisect_left(order, (fdot, -1), 0, i)
-            for _, unit in order[lo : i + 1]:
-                stats, is_cell = units[unit]
-                if stats[0] <= room and not (no_cells and is_cell):
-                    if best is None or score < best_score or unit < best:
-                        best_score, best = score, unit
-                    break
-            i = lo - 1
-        return best
+        i = lo - 1
+    return best
 
 
 class _Search:
@@ -353,8 +331,15 @@ class _Search:
         if self.small[comp]:
             yield from self._exhaustive(members, max_cells, p)
             return
+        possible = self.head[members] == members
+        if not anchor_at_cells:
+            possible &= self.cell_of[members] < 0
+        # An apply between two chains only shrinks these sets: it turns free
+        # vertices into cell members, and a new cell's head, its smallest
+        # vertex, is a free vertex or the head of a cell it absorbs. So the
+        # masked anchors are tested again as the stream reaches them.
         head, cell_of = self.head_v, self.cell_of_v
-        for v in members.tolist():
+        for v in members[possible].tolist():
             if head[v] != v or (cell_of[v] >= 0 and not anchor_at_cells) or v in self.dead:
                 continue
             grown = []
@@ -388,7 +373,7 @@ class _Search:
         by (fdot, unit), and the score never falls moving away from the
         first entry with fdot >= -fsum, so the pick walks outward from there
         in groups of equal fdot and may stop on each side at the first group
-        scoring above the best found; see _Frontier.pick. A family without
+        scoring above the best found; see _pick. A family without
         values has fdot 0 everywhere, so the smallest fitting unit is added.
         The chain also ends once the ratio floor times its heaviest atom,
         tested as that atom grows, exceeds the component's mass_bound:
@@ -402,8 +387,7 @@ class _Search:
         the frontier, so that unit's neighbours are never read.
         """
         neighbors = self.graph.neighbors
-        head = self.head_v
-        cell_of = self.cell_of_v
+        head, cell_of, nw, fnw = self.head_v, self.cell_of_v, self.nw_v, self.fnw_v
         unit_stats = self.unit_stats
         admits = self.family.admits
         floor = self.family.min_ratio
@@ -412,61 +396,65 @@ class _Search:
 
         # units added or on the frontier
         reached = {anchor}
-        frontier = _Frontier()
+        # the frontier: (fdot, unit) sorted, and unit -> (unit_stats, is a cell)
+        order = []
+        units = {}
         mass = 0.0
         new_mass = 0.0
         old_mass = 0.0
         fsum = 0.0
         wmax = 0.0
         cells_used = 0
+        yielded = False
 
-        def add_unit(unit, stats, is_cell):
-            """Add a unit; True when the chain ends with it."""
-            nonlocal mass, new_mass, old_mass, fsum, wmax, cells_used
-            _, umass, fdot, umax = stats
-            mass += umass
-            fsum += fdot
-            if is_cell:
-                old_mass += umass
-                cells_used += 1
-                members = self.cells[cell_of[unit]].tolist()
-            else:
-                new_mass += umass
-                members = (unit,)
-            vertices.extend(members)
-            if umax > wmax:
-                wmax = umax
-                if floor * wmax > bound:
-                    # admits rejects mass < floor * wmax, this very product
-                    return True
-            if len(vertices) >= cap:
-                # full: the chain ends before it would pick from a frontier
-                return True
-            for v in members:
-                for w in neighbors(v).tolist():
-                    w_unit = head[w]
-                    if w_unit in reached:
-                        continue
-                    reached.add(w_unit)
-                    frontier.add(w_unit, unit_stats(w_unit), cell_of[w_unit] >= 0)
-            return False
-
+        unit = anchor
         stats = unit_stats(anchor)
         if stats[0] > cap:
             return
-        ended = add_unit(anchor, stats, cell_of[anchor] >= 0)
-        yielded = False
         while True:
+            _, umass, fdot, umax = stats
+            mass += umass
+            fsum += fdot
+            ci = cell_of[unit]
+            if ci >= 0:
+                old_mass += umass
+                cells_used += 1
+                members = self.cells[ci].tolist()
+                vertices.extend(members)
+            else:
+                new_mass += umass
+                members = (unit,)
+                vertices.append(unit)
+            # a full chain ends before it would pick from a frontier
+            ended = len(vertices) >= cap
+            if umax > wmax:
+                wmax = umax
+                # admits rejects mass < floor * wmax, this very product
+                ended = ended or floor * wmax > bound
+            if not ended:
+                for v in members:
+                    for w in neighbors(v).tolist():
+                        u = head[w]
+                        if u in reached:
+                            continue
+                        reached.add(u)
+                        if cell_of[u] < 0:
+                            x = nw[u]
+                            entry = ((1, x, fnw[u], x), False)
+                        else:
+                            entry = (unit_stats(u), True)
+                        insort(order, (entry[0][2], u))
+                        units[u] = entry
             if new_mass > 0.0 and new_mass >= p * old_mass and admits(mass, fsum, wmax):
                 yielded = True
                 yield len(vertices)
             if ended:
                 break
-            room = cap - len(vertices)
-            unit = frontier.pick(fsum, room, max_cells is not None and cells_used >= max_cells)
+            unit = _pick(order, units, fsum, cap - len(vertices), max_cells is not None and cells_used >= max_cells)
             if unit is None:
                 break
-            ended = add_unit(unit, *frontier.pop(unit))
+            stats = units.pop(unit)[0]
+            del order[bisect_left(order, (stats[2], unit))]
         if not yielded and cells_used == 0:
             self.dead.add(anchor)
 

@@ -19,7 +19,7 @@ from .averages import VertexFunction, mean_over
 from .errors import BadDenominator, EmptySet, NotFitted, StallDiagnostic
 from .graph import Cocycle, RhoMeasure, class_means, quotient
 from .packing import CentralFamily, SearchBudget, packed_and_saturated
-from .partition import EquivRel, Prepartition
+from .partition import EquivRel, Prepartition, _canonical_labels
 from .reports import ConvergenceReport
 from .validation import as_values_array, check_positive, check_unit_interval, sorted_distinct
 
@@ -116,6 +116,28 @@ def _stage_statistics(cocycle, mu, f, relation, target, eps, frontier, g=None):
     return mass_within, frontier_mass, int(sizes.max()), labels.size / k, hist
 
 
+def _lift(relation, qpart):
+    """A prepartition of the contraction by relation, lifted to the base
+    vertices, and relation.join(lifted.to_equiv()).
+
+    A lifted cell is a union of the relation's classes, so the joined classes
+    are the lifted cells and the classes of the free quotient vertices. On
+    the contraction, cells keep their labels and each free vertex gets a
+    fresh one; one gather through class_of carries them to the base vertices.
+    relation and qpart are both canonical, so the quotient vertices ascend
+    with their classes' smallest members, and the lifted cells, in qpart's
+    order, are numbered canonically as they come.
+    """
+    cells = qpart.cell_count
+    labels = qpart.cell_of.copy()
+    free = labels < 0
+    labels[free] = cells + np.arange(np.count_nonzero(free))
+    lifted = labels[relation.class_of]
+    joined = EquivRel(*_canonical_labels(lifted))
+    lifted[lifted >= cells] = -1
+    return Prepartition(lifted, cells), joined
+
+
 def _new_report(model, eps, max_stages, target):
     return ConvergenceReport(
         config={
@@ -137,9 +159,12 @@ def run_tiling(model, eps, max_stages=12, raise_on_stall=True):
     Stops as soon as tiles within eps of the global mean carry mass 1 - eps,
     or after max_stages with diagnostics. A stage that adds no coverage and no
     statistic progress raises StallDiagnostic (carrying the partial state)
-    unless raise_on_stall is false. A model with no vertices raises EmptySet.
+    unless raise_on_stall is false. A model with no vertices raises EmptySet,
+    and max_stages below 1 raises ValueError.
     """
     check_unit_interval(eps, "eps")
+    if max_stages < 1:
+        raise ValueError(f"max_stages must be at least 1, got {max_stages}")
     graph, cocycle, mu = model.graph, model.cocycle, model.measure
     n = graph.vertex_count
     if n == 0:
@@ -208,8 +233,7 @@ def run_tiling(model, eps, max_stages=12, raise_on_stall=True):
         # the lift reads only the relation's labels, which q.class_of is, so
         # the contraction is let go first and the lift can reuse its memory
         q = family = None
-        part = Prepartition.from_labels(qpart.cell_of[relation.class_of])
-        relation = relation.join(part.to_equiv())
+        part, relation = _lift(relation, qpart)
         state.prepartitions.append(part)
         state.relations.append(relation)
         covered |= part.domain_mask()
@@ -259,7 +283,8 @@ def ratio_experiment(model, g, eps, max_stages=12, f=None, raise_on_stall=True):
     """Tile under the g-rescaled weights and report the two-function ratio
     statistic against the quotient of the global means.
 
-    With g identically 1 this reduces to run_tiling on the original weights.
+    With g identically 1 this reduces to run_tiling on the original weights,
+    which also checks eps and max_stages.
     """
     garr = as_values_array(g, model.graph.vertex_count)
     if not np.all(np.isfinite(garr) & (garr > 0)):

@@ -84,3 +84,43 @@ def test_a_non_finite_f_is_an_error(monkeypatch, capsys, tmp_path, command):
     assert run_cli(monkeypatch, command, bad) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "vertex line 0 has a non-finite f" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["2 1\n0 1\n0.0 abc\n0.0 0.0\n", "2 1\n0 x\n0.0 0.5\n0.0 0.0\n"],
+    ids=["vertex-line", "edge-line"],
+)
+@pytest.mark.parametrize("command", ["tile", "pack"])
+def test_a_non_numeric_token_is_an_error(monkeypatch, capsys, tmp_path, command, text):
+    bad = tmp_path / "bad_token.txt"
+    bad.write_text(text)
+    assert run_cli(monkeypatch, command, bad) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and " line 0 must be " in err
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--eps", "2"), ("--eps", "0"), ("--eps", "abc"), ("--max-stages", "0")],
+)
+def test_an_option_out_of_range_is_a_usage_error(monkeypatch, capsys, graph_file, option, value):
+    assert run_cli(monkeypatch, "tile", graph_file, option, value) == 1
+    err = capsys.readouterr().err
+    assert f"Invalid value for '{option}'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("run.eps = abc", "config run.eps: 'abc' is not a valid float range."),
+        ("run.eps = 1.5", "config run.eps: 1.5 is not in the range 0<x<1."),
+        ("run.max_stages = 0", "config run.max_stages: 0 is not in the range x>=1."),
+        ("run.seed = x", "config run.seed: invalid literal for int() with base 10: 'x'"),
+    ],
+)
+def test_a_config_value_that_does_not_parse_is_a_usage_error(monkeypatch, capsys, graph_file, tmp_path, line, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    assert run_cli(monkeypatch, "--config", config, "tile", graph_file) == 1
+    assert capsys.readouterr().err == f"Error: {message}\n"

@@ -557,6 +557,23 @@ class TestGraphFile:
         assert g.vertex_count == 2
         assert f.tolist() == [1.0, -1.0]
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 x\n0 1\n0.0 1.0\n0.0 0.0\n", "header must be 'n m'"),
+            ("2 1\n0 x\n0.0 1.0\n0.0 0.0\n", "edge line 0 must be 'u v', two integers"),
+            ("2 1\n0\n0.0 1.0\n0.0 0.0\n", "edge line 0 must be 'u v', two integers"),
+            ("2 1\n0 1\n0.0 abc\n0.0 0.0\n", "vertex line 0 must be 'logw f', two numbers"),
+            ("2 1\n0 1\n0.0 1.0\n0.0\n", "vertex line 1 must be 'logw f', two numbers"),
+        ],
+        ids=["header", "edge-token", "edge-count", "vertex-token", "vertex-count"],
+    )
+    def test_unparsable_line_rejected(self, tmp_path, text, message):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(MalformedGraph, match=message):
+            read_graph_file(path)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_f_rejected(self, tmp_path, value):
         path = tmp_path / "g.txt"

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from bisect import bisect_left, insort
 from math import inf, log
 from unittest import mock
 
@@ -31,8 +32,8 @@ from ergodic_tiler.packing import (
     DEFAULT_BUDGET,
     MAX_ROUNDS,
     SearchBudget,
-    _Frontier,
     _Search,
+    _pick,
     find_pack,
     packed,
     saturate,
@@ -292,6 +293,26 @@ def test_bernoulli_13_grows_no_chain_past_its_ratio_floor(neighbor_calls):
     state, _ = run_tiling(model, eps=0.05, max_stages=8, raise_on_stall=False)
     assert [part.cell_count for part in state.prepartitions] == [66, 1, 0]
     assert neighbor_calls[0] == 57_355
+
+
+def test_odometer_16_reads_about_one_neighbour_list_per_vertex(neighbor_calls, monkeypatch):
+    """odometer-16 converges at stage 1 with 512 cells. Its search reads
+    65,560 neighbour lists for 65,536 vertices and asks the oracle 512
+    times, admitting every set it is asked about."""
+    contains = CentralFamily.contains
+    answers = []
+
+    def counted(self, graph, cocycle, vertices):
+        answers.append(contains(self, graph, cocycle, vertices))
+        return answers[-1]
+
+    monkeypatch.setattr(CentralFamily, "contains", counted)
+    model = generate_model(ModelSpec("odometer", 16, p=0.4))
+    neighbor_calls[0] = 0
+    state, _ = run_tiling(model, eps=0.05, max_stages=8, raise_on_stall=False)
+    assert [part.cell_count for part in state.prepartitions] == [512]
+    assert neighbor_calls[0] == 65_560
+    assert (len(answers), sum(answers)) == (512, 512)
 
 
 class UnboundedSearch(_Search):
@@ -576,9 +597,9 @@ FDOTS = st.one_of(QUARTERS, QUARTERS, QUARTERS, st.floats(-2.0, 2.0))
 
 @st.composite
 def frontiers(draw):
-    """A frontier built by add and thinned by pop, with a pick query
-    whose fsum is often the exact negative of a frontier fdot, or halfway
-    between two quarters so that units on both sides of the split tie."""
+    """Frontier entries, some of them then popped, with a pick query whose
+    fsum is often the exact negative of a frontier fdot, or halfway between
+    two quarters so that units on both sides of the split tie."""
     entries = draw(
         st.dictionaries(
             st.integers(0, 60), st.tuples(st.integers(1, 4), FDOTS, st.booleans()), max_size=40
@@ -598,20 +619,22 @@ def frontiers(draw):
 # signed zeros form one group
 @example(({2: (1, -0.0, False), 1: (1, 0.0, False), 0: (3, 0.0, True)}, set(), -0.0, 2, True))
 def test_frontier_pick_is_the_smallest_eligible_score_and_unit(case):
+    """_pick on a frontier built and thinned as the chain builds and thins its own."""
     entries, gone, fsum, room, no_cells = case
-    queued = {u: ((size, 1.0, fdot, 1.0), is_cell) for u, (size, fdot, is_cell) in entries.items()}
-    frontier = _Frontier()
-    for unit, (stats, is_cell) in queued.items():
-        frontier.add(unit, stats, is_cell)
+    order, units = [], {}
+    for unit, (size, fdot, is_cell) in entries.items():
+        insort(order, (fdot, unit))
+        units[unit] = ((size, 1.0, fdot, 1.0), is_cell)
     for unit in gone:
-        assert frontier.pop(unit) == queued[unit]
+        stats = units.pop(unit)[0]
+        del order[bisect_left(order, (stats[2], unit))]
     eligible = [
         (abs(fsum + fdot), unit)
         for unit, (size, fdot, is_cell) in entries.items()
         if unit not in gone and size <= room and not (no_cells and is_cell)
     ]
-    assert frontier.pick(fsum, room, no_cells) == (min(eligible)[1] if eligible else None)
-    assert sorted(frontier.units) == sorted(set(entries) - gone)
+    assert _pick(order, units, fsum, room, no_cells) == (min(eligible)[1] if eligible else None)
+    assert sorted(unit for _, unit in order) == sorted(units) == sorted(set(entries) - gone)
 
 
 def draw_connected_classes(draw, graph):

@@ -16,6 +16,7 @@ from ergodic_tiler import (
     ErgodicTiler,
     ModelBundle,
     ModelSpec,
+    Prepartition,
     RhoMeasure,
     VertexFunction,
     build_graph,
@@ -25,7 +26,9 @@ from ergodic_tiler import (
     run_tiling,
 )
 from ergodic_tiler import tiling
-from ergodic_tiler.tiling import _stage_statistics
+from ergodic_tiler.tiling import _lift, _stage_statistics
+
+from test_packing import draw_connected_classes, multi_component_instances
 
 
 def steep_path():
@@ -187,6 +190,45 @@ def test_ratio_experiment_scores_against_the_ratio_of_means():
     for relation, row in zip(state.relations, report.rows):
         assert row.mass_within_eps == pytest.approx(mass_within(relation, target), abs=1e-12)
         assert row.mass_within_eps != pytest.approx(mass_within(relation, float(np.dot(atoms, f))), abs=0.1)
+
+
+@pytest.mark.parametrize("max_stages", [0, -1])
+def test_fewer_than_one_stage_is_an_error(max_stages):
+    """A run of no stages would report no rows and status budget_exhausted,
+    which the CLI would read as a run that missed its threshold."""
+    model = generate_model(ModelSpec("rotation", 12))
+    with pytest.raises(ValueError, match="max_stages must be at least 1"):
+        run_tiling(model, eps=0.05, max_stages=max_stages)
+    g = np.ones(model.graph.vertex_count)
+    with pytest.raises(ValueError, match="max_stages must be at least 1"):
+        ratio_experiment(model, g, eps=0.05, max_stages=max_stages)
+
+
+@st.composite
+def lifts(draw):
+    """A relation with connected classes on a graph of one to three
+    components, and a prepartition of its contraction from random labels,
+    -1 marking a free quotient vertex."""
+    graph = draw(multi_component_instances())[0]
+    relation = draw_connected_classes(draw, graph)
+    k = relation.class_count
+    labels = draw(st.lists(st.integers(-1, max(1, k // 3)), min_size=k, max_size=k))
+    return relation, Prepartition.from_labels(labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lifts())
+def test_the_lift_relabels_what_the_join_builds(case):
+    """Relabelling the contraction gives the relation the union-find join
+    builds from the lifted prepartition, and that prepartition itself."""
+    relation, qpart = case
+    part, joined = _lift(relation, qpart)
+    expected = Prepartition.from_labels(qpart.cell_of[relation.class_of])
+    assert part.cell_count == expected.cell_count
+    assert part.cell_of.tobytes() == expected.cell_of.tobytes()
+    reference = relation.join(expected.to_equiv())
+    assert joined.class_count == reference.class_count
+    assert joined.class_of.tobytes() == reference.class_of.tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
