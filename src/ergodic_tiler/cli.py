@@ -175,7 +175,7 @@ def flow_check(obj, graph_path, flow_path):
 @click.option("--family", "family_kind", type=click.Choice(["connected", "central"]), default="connected")
 @click.option("--lam", type=float, default=0.1, help="centrality window for --family central")
 @click.option("--min-ratio", type=float, default=1.0, help="mass-ratio floor for --family central")
-@click.option("--p", "pack_p", type=float, default=1.0, help="pack threshold")
+@click.option("--p", "pack_p", type=click.FloatRange(min=0, min_open=True), default=1.0, help="pack threshold")
 @click.option("--saturated/--no-saturated", default=True, help="also saturate")
 @click.option("--audit", "audit_path", type=click.Path(exists=True), default=None, help="audit a dumped prepartition instead of building one")
 @click.pass_obj
@@ -235,7 +235,7 @@ def blocks(obj, graph_path, alpha):
 @main.command()
 @click.argument("graph_path", type=click.Path(exists=True))
 @click.option("--mode", type=click.Choice(["vertex", "edge"]), default="vertex")
-@click.option("--k", "threshold", type=int, required=True, help="component-size threshold")
+@click.option("--k", "threshold", type=click.IntRange(min=1), required=True, help="component-size threshold")
 @click.option("--method", type=click.Choice(["exact", "greedy", "local"]), default="exact")
 @click.pass_obj
 def price(obj, graph_path, mode, threshold, method):

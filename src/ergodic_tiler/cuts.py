@@ -37,18 +37,9 @@ def _piece_sizes(n, edges, keep=None):
     return np.bincount(labels[labels >= 0], minlength=count), labels
 
 
-def _edge_cut_sizes(graph, H, keep=None):
-    """Piece sizes on the mask keep (default all) once the edges H, in either orientation, are deleted."""
-    n = graph.vertex_count
-    edges = graph.edges()
-    cut = np.sort(np.asarray(H, dtype=np.int64).reshape(-1, 2), axis=1)
-    kept = ~np.isin(edges[:, 0] * n + edges[:, 1], cut[:, 0] * n + cut[:, 1])
-    return _piece_sizes(n, edges[kept], keep)[0]
-
-
-def _vertex_cut_pieces(graph, V, keep=None):
-    """Piece sizes and labels on the mask keep (default all) once the vertices V are removed."""
-    keep = np.ones(graph.vertex_count, dtype=bool) if keep is None else keep.copy()
+def _vertex_cut_pieces(graph, V):
+    """Piece sizes and labels once the vertices V are removed."""
+    keep = np.ones(graph.vertex_count, dtype=bool)
     keep[np.asarray(V, dtype=np.int64)] = False
     return _piece_sizes(graph.vertex_count, graph.edges(), keep)
 
@@ -65,8 +56,10 @@ def is_K_finitizing_edge_cut(graph, H, K):
     """True iff deleting the edges H leaves only components of at most K vertices."""
     if K < 1:
         raise ValueError("K must be at least 1")
-    sizes = _edge_cut_sizes(graph, H)
-    return bool(sizes.size == 0 or sizes.max() <= K)
+    n, edges = graph.vertex_count, graph.edges()
+    cut = np.sort(np.asarray(H, dtype=np.int64).reshape(-1, 2), axis=1)
+    kept = ~np.isin(edges[:, 0] * n + edges[:, 1], cut[:, 0] * n + cut[:, 1])
+    return bool(_piece_sizes(n, edges[kept])[0].max(initial=0) <= K)
 
 
 class _UnionFind:
@@ -97,24 +90,18 @@ class _UnionFind:
         self.parent, self.size = list(snap[0]), list(snap[1])
 
 
-def _exact_vertex_cut_component(graph, members, weight, K):
-    """Minimum-weight vertex cut leaving pieces of at most K, by branch and bound.
+def _exact_cut(w, joins, nodes, K):
+    """Minimum-weight cut among elements 0..len(w)-1 by branch and bound.
 
-    Vertices are decided in decreasing-degree order; a kept piece exceeding K
+    Elements are decided in index order, keep before cut. Keeping element i
+    unions the node pairs joins(i, kept) names; a union above K vertices
     prunes the branch, as does a cut weight at or above the incumbent.
+    Returns the indices of the best cut.
     """
-    members = [int(v) for v in members]
-    order = sorted(members, key=lambda v: (-graph.degree(v), v))
-    local = {v: i for i, v in enumerate(order)}
-    nbrs = [[local[int(u)] for u in graph.neighbors(v) if int(u) in local] for v in order]
-    w = [float(weight[v]) for v in order]
-    n = len(order)
-
-    best_cut = list(range(n))
-    best_cost = sum(w)
-
-    state = ["?"] * n
-    uf = _UnionFind(n)
+    n = len(w)
+    best_cut, best_cost = list(range(n)), sum(w)
+    kept = [False] * n
+    uf = _UnionFind(nodes)
 
     def recurse(i, cost):
         nonlocal best_cut, best_cost
@@ -122,72 +109,65 @@ def _exact_vertex_cut_component(graph, members, weight, K):
             return
         if i == n:
             best_cost = cost
-            best_cut = [j for j in range(n) if state[j] == "cut"]
+            best_cut = [j for j in range(n) if not kept[j]]
             return
-        # keep branch first: cheap when no small-K violation appears
         snap = uf.snapshot()
-        ok = True
-        state[i] = "keep"
-        for j in nbrs[i]:
-            if j < i and state[j] == "keep":
-                if uf.union(i, j) > K:
-                    ok = False
-                    break
-        if ok and uf.size[uf.find(i)] <= K:
+        kept[i] = True
+        if all(uf.union(a, b) <= K for a, b in joins(i, kept)):
             recurse(i + 1, cost)
         uf.restore(snap)
-
-        state[i] = "cut"
+        kept[i] = False
         recurse(i + 1, cost + w[i])
-        state[i] = "?"
 
     recurse(0, 0.0)
-    return [order[j] for j in best_cut], best_cost
+    return best_cut
 
 
-def _greedy_vertex_cut_component(graph, members, weight, K):
-    """Upper bound: repeatedly split the largest oversized piece at its best separator."""
-    members = set(int(v) for v in members)
+def _greedy_cut(alive, inside, w, touch, pieces, K):
+    """Upper bound: from the largest piece over K, repeatedly remove the alive
+    element whose removal leaves that piece's largest part smallest, the
+    lighter and then the lower-numbered one on ties.
+
+    Element i lies in the piece of vertex touch[i]; pieces(alive, keep) gives
+    the piece sizes and vertex labels on the vertex mask keep.
+    """
+    alive = alive.copy()
     cut = []
     while True:
-        keep_mask = np.zeros(graph.vertex_count, dtype=bool)
-        keep_mask[list(members)] = True
-        sizes, labels = _piece_sizes(graph.vertex_count, graph.edges(), keep_mask)
-        over = [c for c in range(len(sizes)) if sizes[c] > K]
-        if not over:
+        sizes, labels = pieces(alive, inside)
+        if sizes.max(initial=0) <= K:
             return cut
-        target = max(over, key=lambda c: sizes[c])
-        piece = [v for v in members if labels[v] == target]
-        best = None
-        for v in sorted(piece):
-            mask2 = keep_mask.copy()
-            mask2[v] = False
-            s2, labels2 = _piece_sizes(graph.vertex_count, graph.edges(), mask2)
-            local = [s2[labels2[u]] for u in piece if u != v]
-            key = (max(local) if local else 0, float(weight[v]), v)
-            if best is None or key < best[0]:
-                best = (key, v)
-        v = best[1]
-        cut.append(v)
-        members.discard(v)
+        piece = labels == int(np.argmax(sizes))
+
+        def key(i):
+            alive[i] = False
+            worst = int(pieces(alive, piece)[0].max(initial=0))
+            alive[i] = True
+            return (worst, w[i], i)
+
+        best = min(key(i) for i in np.flatnonzero(alive & piece[touch]).tolist())[2]
+        cut.append(best)
+        alive[best] = False
 
 
-def _prune_cut(cut, weight, sizes_without, K):
+def _prune_cut(cut, w, alive, inside, pieces, K):
     """Drop cut elements heaviest first while the pieces the rest leaves stay at most K."""
     cut = set(cut)
-    for x in sorted(cut, key=lambda x: (-weight(x), x)):
-        if sizes_without(sorted(cut - {x})).max(initial=0) <= K:
+    for x in sorted(cut, key=lambda x: (-w[x], x)):
+        rest = alive.copy()
+        rest[sorted(cut - {x})] = False
+        if pieces(rest, inside)[0].max(initial=0) <= K:
             cut.discard(x)
     return sorted(cut)
 
 
-def vertex_price(graph, mu, K, method="exact", cocycle=None):
-    """Cheapest vertex set whose removal leaves pieces of at most K vertices.
+def _price(graph, K, method, w, touch, pieces, exact_cut):
+    """Sorted element numbers of a cut leaving pieces of at most K vertices.
 
-    The exact method is a per-component branch and bound, limited to
-    components of at most 20 vertices; greedy and local produce labeled upper
-    bounds on graphs of any size. local drops from the greedy cut, heaviest
-    first, each vertex the rest of the cut does not need.
+    Element i weighs w[i] and lies in the component of vertex touch[i];
+    pieces(alive, keep) gives the piece sizes and vertex labels on the vertex
+    mask keep once the elements not alive are removed, and exact_cut(members)
+    is the cheapest cut of one component.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
@@ -203,27 +183,51 @@ def vertex_price(graph, mu, K, method="exact", cocycle=None):
                 raise TooLargeForExact(
                     f"component {c} has {len(members)} vertices > {EXACT_COMPONENT_LIMIT}"
                 )
-            part, _ = _exact_vertex_cut_component(graph, members, mu.atoms, K)
-        else:
-            part = _greedy_vertex_cut_component(graph, members, mu.atoms, K)
-            if method == "local":
-                inside = graph.component_id == c
-                part = _prune_cut(part, mu.atoms.item, lambda r: _vertex_cut_pieces(graph, r, inside)[0], K)
-        cut.extend(int(v) for v in part)
+            cut.extend(exact_cut(members))
+            continue
+        inside = graph.component_id == c
+        alive = inside[touch]
+        part = _greedy_cut(alive, inside, w, touch, pieces, K)
+        if method == "local":
+            part = _prune_cut(part, w, alive, inside, pieces, K)
+        cut.extend(part)
+    return sorted(cut)
 
-    cut = sorted(cut)
+
+def vertex_price(graph, mu, K, method="exact", cocycle=None):
+    """Cheapest vertex set whose removal leaves pieces of at most K vertices.
+
+    The exact method is a per-component branch and bound, limited to
+    components of at most 20 vertices; greedy and local produce labeled upper
+    bounds on graphs of any size. local drops from the greedy cut, heaviest
+    first, each vertex the rest of the cut does not need.
+    """
+    n, edges = graph.vertex_count, graph.edges()
+    w = mu.atoms.tolist()
+
+    def pieces(alive, keep):
+        return _piece_sizes(n, edges, alive & keep)
+
+    def exact_cut(members):
+        # decreasing degree first
+        order = sorted(members.tolist(), key=lambda v: (-graph.degree(v), v))
+        local = {v: i for i, v in enumerate(order)}
+        nbrs = [[local[u] for u in graph.neighbors(v).tolist() if u in local] for v in order]
+
+        def joins(i, kept):
+            # a kept vertex joins its kept earlier neighbours
+            return [(i, j) for j in nbrs[i] if j < i and kept[j]]
+
+        return [order[j] for j in _exact_cut([w[v] for v in order], joins, len(order), K)]
+
+    cut = _price(graph, K, method, w, np.arange(n), pieces, exact_cut)
     sizes, labels = _vertex_cut_pieces(graph, cut)
     largest = int(sizes.max()) if sizes.size else 0
     largest_ratio = None
     if cocycle is not None and sizes.size:
         nw = cocycle.component_normalized_weights(graph)
-        best = 0.0
-        for lab in range(len(sizes)):
-            piece = np.flatnonzero(labels == lab)
-            if piece.size:
-                pw = nw[piece]
-                best = max(best, float(pw.sum() / pw.max()))
-        largest_ratio = best
+        parts = [nw[labels == lab] for lab in range(len(sizes))]
+        largest_ratio = max(float(pw.sum() / pw.max()) for pw in parts)
     return CutReport(
         mode="vertex",
         method=method,
@@ -260,113 +264,43 @@ def edge_measure_from_maps(maps, mu):
     return nu
 
 
-def _exact_edge_cut_component(graph, members, nu, K):
-    members = set(int(v) for v in members)
-    edges = [
-        (int(u), int(v))
-        for u, v in graph.edges()
-        if int(u) in members and int(v) in members
-    ]
-    edges.sort(key=lambda e: (-(nu.get(e, 0.0)), e))
-    n_e = len(edges)
-    best_cost = sum(nu.get(e, 0.0) for e in edges)
-    best_cut = list(edges)
-    idx = {v: i for i, v in enumerate(sorted(members))}
-
-    chosen = []
-
-    def recurse(i, cost, uf):
-        nonlocal best_cost, best_cut
-        if cost >= best_cost:
-            return
-        if i == n_e:
-            best_cost = cost
-            best_cut = list(chosen)
-            return
-        e = edges[i]
-        # keep the edge
-        snap = uf.snapshot()
-        if uf.union(idx[e[0]], idx[e[1]]) <= K:
-            recurse(i + 1, cost, uf)
-        uf.restore(snap)
-        # cut the edge
-        chosen.append(e)
-        recurse(i + 1, cost + nu.get(e, 0.0), uf)
-        chosen.pop()
-
-    recurse(0, 0.0, _UnionFind(len(members)))
-    return best_cut, best_cost
-
-
-def _greedy_edge_cut_component(graph, members, nu, K):
-    """Upper bound: repeatedly cut the edge of the largest oversized piece that
-    leaves its largest remaining piece smallest."""
-    n = graph.vertex_count
-    inside = np.zeros(n, dtype=bool)
-    inside[members] = True
-    alive = graph.edges()
-    alive = alive[inside[alive[:, 0]] & inside[alive[:, 1]]]
-    cut = []
-    while True:
-        sizes, labels = _piece_sizes(n, alive, inside)
-        if sizes.max() <= K:
-            return cut
-        piece = labels == int(np.argmax(sizes))
-        best = None
-        for i in np.flatnonzero(piece[alive[:, 0]]):
-            e = (int(alive[i, 0]), int(alive[i, 1]))
-            worst = int(_piece_sizes(n, np.delete(alive, i, axis=0), piece)[0].max())
-            key = (worst, nu.get(e, 0.0), e)
-            if best is None or key < best[0]:
-                best = (key, i)
-        cut.append(best[0][2])
-        alive = np.delete(alive, best[1], axis=0)
-
-
 def edge_price(graph, nu=None, K=1, method="exact"):
     """Cheapest edge set whose deletion leaves pieces of at most K vertices.
 
     The methods are those of vertex_price, local dropping edges instead of
     vertices. nu defaults to the uniform distribution on edges.
     """
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    if method not in ("exact", "greedy", "local"):
-        raise ValueError(f"unknown method {method!r}")
+    n, edges = graph.vertex_count, graph.edges()
+    # the edges are sorted, so row order is tuple order and ties break alike
+    rows = [tuple(e) for e in edges.tolist()]
     if nu is None:
         nu = uniform_edge_measure(graph)
     else:
         nu = {(min(int(u), int(v)), max(int(u), int(v))): float(x) for (u, v), x in nu.items()}
+    w = [nu.get(e, 0.0) for e in rows]
 
-    cut = []
-    for c in range(graph.component_count):
-        members = graph.component_members(c)
-        if len(members) <= K:
-            continue
-        if method == "exact":
-            if len(members) > EXACT_COMPONENT_LIMIT:
-                raise TooLargeForExact(
-                    f"component {c} has {len(members)} vertices > {EXACT_COMPONENT_LIMIT}"
-                )
-            part, _ = _exact_edge_cut_component(graph, members, nu, K)
-        else:
-            part = _greedy_edge_cut_component(graph, members, nu, K)
-            if method == "local":
-                inside = graph.component_id == c
-                part = _prune_cut(part, lambda e: nu.get(e, 0.0), lambda r: _edge_cut_sizes(graph, r, inside), K)
-        cut.extend(part)
+    def pieces(alive, keep):
+        return _piece_sizes(n, edges[alive], keep)
 
-    cut = sorted(set(cut))
-    price = sum(nu.get(e, 0.0) for e in cut)
-    sizes = _edge_cut_sizes(graph, cut)
+    def exact_cut(members):
+        # heaviest edge first
+        order = sorted(np.flatnonzero(np.isin(edges[:, 0], members)).tolist(), key=lambda i: (-w[i], i))
+        local = {v: i for i, v in enumerate(members.tolist())}
+        ends = [(local[rows[i][0]], local[rows[i][1]]) for i in order]
+        # a kept edge joins its two ends
+        cut = _exact_cut([w[i] for i in order], lambda i, kept: (ends[i],), len(members), K)
+        return [order[j] for j in cut]
+
+    cut = _price(graph, K, method, w, edges[:, 0], pieces, exact_cut)
+    sizes = _piece_sizes(n, np.delete(edges, cut, axis=0))[0]
     if sizes.size and sizes.max() > K:
         raise RuntimeError("internal: produced edge set is not a valid cut")
     return CutReport(
         mode="edge",
         method=method,
         K=int(K),
-        cut=tuple(cut),
-        price=float(price),
+        cut=tuple(rows[i] for i in cut),
+        price=float(sum(w[i] for i in cut)),
         largest_component=int(sizes.max()) if sizes.size else 0,
         largest_ratio=None,
         exact=(method == "exact"),

@@ -26,7 +26,8 @@ class NotDisjoint(ErgodicTilerError):
 
 
 class MalformedFlow(ErgodicTilerError):
-    """Flow has negative entries or violates the unit bounds."""
+    """Flow file line does not parse, or a flow has negative entries, endpoints
+    outside the graph, or breaks the unit bounds."""
 
 
 class InsufficientCapacity(ErgodicTilerError):

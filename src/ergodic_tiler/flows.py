@@ -69,13 +69,16 @@ class BalanceReport:
 def validate_flow(flow, graph, cocycle, mu=None):
     """Check entry signs and pair sanity, then report nets and bound breaches.
 
-    Negative entries and cross-component or diagonal pairs raise; bound
-    violations (out or in above 1) are reported, not raised.
+    Negative or NaN entries, endpoints outside the graph and cross-component
+    or diagonal pairs raise; bound violations (out or in above 1) are reported,
+    not raised.
     """
     n = graph.vertex_count
     for (x, y), v in flow.entries.items():
-        if v < 0:
-            raise MalformedFlow(f"negative entry phi({x},{y}) = {v}")
+        if not (0 <= x < n and 0 <= y < n):
+            raise MalformedFlow(f"pair ({x},{y}) has an endpoint outside 0..{n - 1}")
+        if not v >= 0:
+            raise MalformedFlow(f"entry phi({x},{y}) = {v} is negative or not a number")
         if x == y:
             raise MalformedFlow(f"diagonal entry at vertex {x}")
         if graph.component_id[x] != graph.component_id[y]:
@@ -135,6 +138,8 @@ def define_flow(relation, cocycle, U, V, w, exact=False):
         if s > 1 + BOUND_TOL:
             raise MalformedFlow(f"w({u}) = {s} exceeds the unit out-flow bound")
 
+    num = Fraction if exact else float
+    slack = 0 if exact else FEAS_SLACK
     entries = {}
     for ci in sorted_distinct(relation.class_of[U]).tolist():
         cls = relation.classes[ci]
@@ -145,19 +150,12 @@ def define_flow(relation, cocycle, U, V, w, exact=False):
         cls_v = [int(x) for x in cls[in_v]]
 
         anchor = float(cocycle.log_weight[cls].max())
-        if exact:
-            wt = {int(x): Fraction(math.exp(cocycle.log_weight[x] - anchor)) for x in cls}
-            sup = {u: Fraction(supply[u]) for u in cls_u}
-            one = Fraction(1)
-        else:
-            wt = {int(x): math.exp(cocycle.log_weight[x] - anchor) for x in cls}
-            sup = dict(supply)
-            one = 1.0
+        wt = {int(x): num(math.exp(cocycle.log_weight[x] - anchor)) for x in cls}
+        sup = {u: num(supply[u]) for u in cls_u}
 
         demand = sum(sup[u] * wt[u] for u in cls_u)
         capacity = sum(wt[v] for v in cls_v)
-        infeasible = capacity < demand if exact else float(capacity) < float(demand) * (1 - FEAS_SLACK)
-        if infeasible:
+        if capacity < demand * (1 - slack):
             raise InsufficientCapacity(
                 f"class of vertex {int(cls[0])}: capacity {float(capacity)} < demand {float(demand)}",
                 class_anchor=int(cls[0]),
@@ -165,37 +163,31 @@ def define_flow(relation, cocycle, U, V, w, exact=False):
 
         us = rho_sorted(cocycle, cls_u)
         vs = rho_sorted(cocycle, cls_v)
-        in_acc = {v: one * 0 for v in vs}
+        in_acc = dict.fromkeys(vs, 0)
         j = 0
         for u in us:
             remaining = sup[u]
-            if exact:
-                tol = Fraction(0)
-            else:
-                tol = FEAS_SLACK * max(1.0, float(supply[u]))
+            tol = slack * max(1.0, supply[u])
             while remaining > tol and j < len(vs):
                 v = vs[j]
-                cap = (one - in_acc[v]) * wt[v] / wt[u]
+                cap = (1 - in_acc[v]) * wt[v] / wt[u]
                 if cap <= 0:
                     j += 1
                     continue
                 t = cap if cap < remaining else remaining
-                entries[(u, v)] = entries.get((u, v), one * 0) + t
+                entries[(u, v)] = entries.get((u, v), 0) + t
                 in_acc[v] += t * wt[u] / wt[v]
                 remaining -= t
                 if remaining > 0 and t == cap:
                     j += 1
-            if not exact and remaining > tol:
+            # exact arithmetic always places the whole supply
+            if remaining > tol:
                 raise InsufficientCapacity(
                     f"class of vertex {int(cls[0])}: vertex {u} left with supply {float(remaining)}",
                     class_anchor=int(cls[0]),
                 )
 
-    if exact:
-        entries = {p: float(v) for p, v in entries.items() if v != 0}
-    else:
-        entries = {p: v for p, v in entries.items() if v != 0}
-    return RhoFlow(entries=entries)
+    return RhoFlow(entries={p: float(v) for p, v in entries.items() if v != 0})
 
 
 def balance_check(flow, graph, cocycle, U, V, exact=False):
@@ -222,26 +214,18 @@ def balance_check(flow, graph, cocycle, U, V, exact=False):
             raise NotClosed(f"pair ({x},{y}) leaks outside U x V")
 
     anchor = float(cocycle.log_weight[all_v].max())
-    if exact:
-        wt = lambda x: Fraction(math.exp(cocycle.log_weight[x] - anchor))
-        out_per = {}
-        in_per = {}
-        for (x, y), v in flow.entries.items():
-            out_per[x] = out_per.get(x, Fraction(0)) + Fraction(v)
-            in_per[y] = in_per.get(y, Fraction(0)) + Fraction(v) * wt(x) / wt(y)
-        out_int = sum(out_per.get(int(u), Fraction(0)) * wt(int(u)) for u in U)
-        in_int = sum(in_per.get(int(v), Fraction(0)) * wt(int(v)) for v in V)
-        return out_int, in_int
+    num = Fraction if exact else float
+
+    def wt(x):
+        return num(math.exp(cocycle.log_weight[x] - anchor))
 
     out_per = {}
     in_per = {}
     for (x, y), v in flow.entries.items():
-        wx = math.exp(cocycle.log_weight[x] - anchor)
-        wy = math.exp(cocycle.log_weight[y] - anchor)
-        out_per[x] = out_per.get(x, 0.0) + v
-        in_per[y] = in_per.get(y, 0.0) + v * wx / wy
-    out_int = sum(out_per.get(int(u), 0.0) * math.exp(cocycle.log_weight[int(u)] - anchor) for u in U)
-    in_int = sum(in_per.get(int(v), 0.0) * math.exp(cocycle.log_weight[int(v)] - anchor) for v in V)
+        out_per[x] = out_per.get(x, 0) + num(v)
+        in_per[y] = in_per.get(y, 0) + num(v) * wt(x) / wt(y)
+    out_int = sum(out_per.get(int(u), 0) * wt(int(u)) for u in U)
+    in_int = sum(in_per.get(int(v), 0) * wt(int(v)) for v in V)
     return out_int, in_int
 
 
@@ -290,15 +274,23 @@ def disbalance_report(flow, graph, cocycle):
 
 
 def read_flow_file(path):
-    """Parse lines ``x y value`` into a flow; ``#`` starts a comment."""
+    """Parse lines ``x y value`` into a flow; ``#`` starts a comment.
+
+    A line with the wrong number of tokens, or a token that does not parse,
+    raises MalformedFlow naming the line.
+    """
     entries = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            x, y, v = line.split()
-            entries[(int(x), int(y))] = float(v)
+            # a wrong token count fails the unpacking with a ValueError, as a bad token does
+            try:
+                x, y, v = line.split()
+                entries[(int(x), int(y))] = float(v)
+            except ValueError:
+                raise MalformedFlow(f"{path}: line {number} must be 'x y value'") from None
     return RhoFlow(entries=entries)
 
 

@@ -98,9 +98,9 @@ def label_components(n, edges, keep=None):
 class Cocycle:
     """Positive vertex weights in the log domain.
 
-    ratio(x, y) is the mass of x relative to y; the multiplicative identity
-    ratio(x,y) * ratio(y,z) = ratio(x,z) telescopes exactly because every
-    ratio is a difference of the same per-vertex logs.
+    ratio(x, y) is the mass of x relative to y. Every ratio is the exp of a
+    difference of the same per-vertex logs, so the multiplicative identity
+    ratio(x,y) * ratio(y,z) = ratio(x,z) holds up to rounding.
     """
 
     log_weight: np.ndarray
@@ -382,14 +382,6 @@ def quotient(graph, cocycle, values, relation):
     q_vals, q_logw = class_means(cocycle, class_of, k, values)
     qgraph = _assemble(k, edges, component_id)
     return QuotientResult(graph=qgraph, cocycle=Cocycle(q_logw), values=q_vals, class_of=class_of)
-
-
-def cocycle_identity_holds(cocycle, x, y, z):
-    """Exact check of the multiplicative identity, done in rational arithmetic."""
-    a = Fraction(float(cocycle.log_weight[x]))
-    b = Fraction(float(cocycle.log_weight[y]))
-    c = Fraction(float(cocycle.log_weight[z]))
-    return (a - b) + (b - c) == a - c
 
 
 def read_graph_file(path):

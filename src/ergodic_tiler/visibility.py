@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadMagnification, InvariantBreach, NoNextBlock
-from .graph import outer_boundary
+from .graph import label_components, outer_boundary
 
 
 @dataclass(frozen=True)
@@ -35,18 +35,9 @@ def block(graph, cocycle, x, alpha=1.0):
     if alpha < 1.0:
         raise BadMagnification(f"alpha must be >= 1, got {alpha}")
     x = int(x)
-    cap = cocycle.log_weight[x] + np.log(alpha)
     lw = cocycle.log_weight
-    members = {x}
-    stack = [x]
-    while stack:
-        v = stack.pop()
-        for u in graph.neighbors(v):
-            u = int(u)
-            if u not in members and lw[u] <= cap:
-                members.add(u)
-                stack.append(u)
-    return Block(vertices=np.array(sorted(members), dtype=np.int64), dominus=x, alpha=float(alpha))
+    labels, _ = label_components(graph.vertex_count, graph.edges(), keep=lw <= lw[x] + np.log(alpha))
+    return Block(vertices=np.flatnonzero(labels == labels[x]), dominus=x, alpha=float(alpha))
 
 
 def nested_or_disjoint_check(b1, b2):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import warnings
 
@@ -5,9 +6,16 @@ import numpy as np
 import pytest
 
 from ergodic_tiler import (
+    Cocycle,
+    EquivRel,
+    InsufficientCapacity,
     RhoMeasure,
     TooLargeForExact,
+    balance_check,
+    block,
+    block_decomposition,
     build_graph,
+    define_flow,
     edge_measure_from_maps,
     edge_price,
     is_K_finitizing_edge_cut,
@@ -27,8 +35,6 @@ def cycle_graph(n):
 
 
 def uniform_measure(graph):
-    from ergodic_tiler import Cocycle
-
     return RhoMeasure.from_cocycle(graph, Cocycle(np.zeros(graph.vertex_count)))
 
 
@@ -277,3 +283,65 @@ class TestLimsupMass:
             period = int(rng.integers(1, k + 1))
             m_set, m_lim = limsup_mass(seqs, mu, period=period)
             assert m_set >= m_lim - 1e-15
+
+
+def cut_flow_block_digest(seeds):
+    """sha256 over the repr of every seed's vertex and edge cut reports (all
+    three methods, K = 1, 2, 3), its define_flow and balance_check results in
+    both modes, and its blocks. Every fifth seed adds a second component; the
+    seed also picks a uniform or a cocycle vertex measure, a uniform, random or
+    tie-heavy edge measure, and how much supply the flow must place."""
+    digest = hashlib.sha256()
+
+    def put(thunk):
+        try:
+            out = thunk()
+        except InsufficientCapacity as exc:
+            out = ("InsufficientCapacity", str(exc), exc.class_anchor)
+        digest.update(repr(out).encode())
+
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        g, c = random_connected(rng, int(rng.integers(2, 10)), extra=int(rng.integers(0, 6)))
+        if seed % 5 == 0:
+            h, d = random_connected(rng, int(rng.integers(2, 6)), extra=1)
+            edges = np.concatenate([g.edges(), h.edges() + g.vertex_count])
+            g, c = build_graph(edges, np.concatenate([c.log_weight, d.log_weight]))
+        n, m = g.vertex_count, g.edge_count
+        mu = RhoMeasure.from_cocycle(g, c if seed % 4 < 2 else Cocycle(np.zeros(n)))
+        draws = [None, rng.uniform(0, 1, m), rng.integers(1, 4, m) / 4.0]
+        draw = draws[seed % 3]
+        nu = None if draw is None else {(int(u), int(v)): float(x) for (u, v), x in zip(g.edges(), draw)}
+        for K in (1, 2, 3):
+            for method in ("exact", "greedy", "local"):
+                put(lambda: vertex_price(g, mu, K, method, cocycle=c))
+                put(lambda: edge_price(g, nu, K, method))
+
+        rel = EquivRel.from_labels(rng.integers(0, max(1, n // 3), n) * g.component_count + g.component_id)
+        perm = rng.permutation(n)
+        U, V = np.sort(perm[: n // 2]), np.sort(perm[n // 2:])
+        w = rng.uniform(0, 1, n) * (1.0, 0.5, 0.2)[seed % 3]
+        first = g.component_id == 0
+        U0, V0 = U[first[U]], V[first[V]]
+        for exact in (False, True):
+            put(lambda: define_flow(rel, c, U, V, w, exact))
+            try:
+                flow = define_flow(rel, c, U, V, w)
+            except InsufficientCapacity:
+                continue
+            put(lambda: balance_check(flow, g, c, U0, V0, exact))
+
+        for alpha in (1.0, 2.5):
+            for v in range(n):
+                b = block(g, c, v, alpha)
+                put(lambda: (b.vertices.tolist(), b.dominus, b.alpha))
+        put(lambda: [(b.vertices.tolist(), b.dominus, depth) for b, depth in block_decomposition(g, c)])
+    return digest.hexdigest()
+
+
+def test_cut_flow_and_block_digest_is_pinned():
+    """The cut searches with their tie-breaks, the water-filling flow in both
+    arithmetics and the blocks decide every result hashed here, so a change
+    to any of them that alters a result moves this digest."""
+    pinned = "d8e4bd7584a2765b7588ad6a4776a8c7465f6e91590a9f61210f372a7bf0bf7a"
+    assert cut_flow_block_digest(range(60)) == pinned

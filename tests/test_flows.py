@@ -76,10 +76,21 @@ class TestValidateFlow:
         with pytest.raises(MalformedFlow):
             validate_flow(RhoFlow({(0, 1): -0.1}), g, c)
 
+    def test_nan_entry_raises(self):
+        g, c = path_graph(2)
+        with pytest.raises(MalformedFlow, match="is negative or not a number"):
+            validate_flow(RhoFlow({(0, 1): float("nan")}), g, c)
+
     def test_cross_component_raises(self):
         g, c = build_graph([], [0.0, 0.0])
         with pytest.raises(MalformedFlow):
             validate_flow(RhoFlow({(0, 1): 0.5}), g, c)
+
+    @pytest.mark.parametrize("pair", [(0, 3), (3, 0), (-1, 2), (2, -1)])
+    def test_endpoint_outside_the_graph_raises(self, pair):
+        g, c = path_graph(3)
+        with pytest.raises(MalformedFlow, match="outside 0..2"):
+            validate_flow(RhoFlow({pair: 0.25}), g, c)
 
     def test_purity_fields(self):
         g, c = path_graph(3)
@@ -304,3 +315,15 @@ class TestFlowFile:
         write_flow_file(path, flow)
         back = read_flow_file(path)
         assert back.entries == flow.entries
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0 1 0.25\n2 3\n", "0 1 0.25 7\n", "0 x 0.25\n", "0 1.5 0.25\n", "0 1 abc\n"],
+        ids=["two-tokens", "four-tokens", "non-integer", "fractional-vertex", "non-numeric-value"],
+    )
+    def test_unparsable_line_rejected(self, tmp_path, text):
+        path = tmp_path / "flow.txt"
+        path.write_text("# header comment\n" + text)
+        line = 1 + text.count("\n")  # the last line, after the comment
+        with pytest.raises(MalformedFlow, match=f"line {line} must be 'x y value'"):
+            read_flow_file(path)

@@ -25,7 +25,7 @@ from ergodic_tiler import (
     rho_sorted,
     write_graph_file,
 )
-from ergodic_tiler.graph import _edge_array, class_means, cocycle_identity_holds, label_components
+from ergodic_tiler.graph import _edge_array, class_means, label_components
 from ergodic_tiler.validation import as_vertex_array
 
 
@@ -495,14 +495,13 @@ class TestAsVertexArray:
 
 
 class TestCocycleIdentity:
-    def test_exhaustive_exact_small(self):
+    def test_ratios_telescope_up_to_rounding(self):
         rng = np.random.default_rng(3)
         g, c = random_connected(rng, 50, extra=20)
-        verts = range(50)
-        for x in verts:
+        for x in range(50):
             for y in (7, 23, 41):
                 for z in (3, 29):
-                    assert cocycle_identity_holds(c, x, y, z)
+                    assert c.ratio(x, y) * c.ratio(y, z) == pytest.approx(c.ratio(x, z), rel=1e-12, abs=0)
 
     def test_self_ratio_one(self):
         _, c = path_graph(4, np.array([0.5, -0.5, 1.5, 0.0]))
