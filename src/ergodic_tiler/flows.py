@@ -69,16 +69,16 @@ class BalanceReport:
 def validate_flow(flow, graph, cocycle, mu=None):
     """Check entry signs and pair sanity, then report nets and bound breaches.
 
-    Negative or NaN entries, endpoints outside the graph and cross-component
-    or diagonal pairs raise; bound violations (out or in above 1) are reported,
-    not raised.
+    Negative, infinite or NaN entries, endpoints outside the graph and
+    cross-component or diagonal pairs raise; bound violations (out or in
+    above 1) are reported, not raised.
     """
     n = graph.vertex_count
     for (x, y), v in flow.entries.items():
         if not (0 <= x < n and 0 <= y < n):
             raise MalformedFlow(f"pair ({x},{y}) has an endpoint outside 0..{n - 1}")
-        if not v >= 0:
-            raise MalformedFlow(f"entry phi({x},{y}) = {v} is negative or not a number")
+        if not 0 <= v < math.inf:
+            raise MalformedFlow(f"entry phi({x},{y}) = {v} is negative or not finite")
         if x == y:
             raise MalformedFlow(f"diagonal entry at vertex {x}")
         if graph.component_id[x] != graph.component_id[y]:

@@ -314,13 +314,14 @@ class RhoMeasure:
 class QuotientResult:
     """Contraction of a graph along connected equivalence classes.
 
-    class_of is the relation's own label array: base vertex to quotient vertex.
+    Vertex i of graph stands for the relation's class i. A graph with its own
+    cocycle and values is its contraction by the identity, and run_tiling
+    contracts a contraction again at each searched stage.
     """
 
     graph: WeightedGraph
     cocycle: Cocycle
     values: np.ndarray
-    class_of: np.ndarray
 
 
 def class_means(cocycle, class_of, k, f, g=None):
@@ -357,7 +358,7 @@ def quotient(graph, cocycle, values, relation):
         # weights are exp(0) = 1, its means f * 1 / 1 = f, its log-weights
         # lw + log(1), which differ from lw at most in the sign of a zero,
         # and its edges are the input's, already sorted and distinct.
-        return QuotientResult(graph=graph, cocycle=cocycle, values=values, class_of=class_of)
+        return QuotientResult(graph=graph, cocycle=cocycle, values=values)
     base_edges = graph.edges()
 
     # the intra-class edges split each class into its pieces: one piece per
@@ -381,7 +382,7 @@ def quotient(graph, cocycle, values, relation):
     component_id[class_of] = graph.component_id
     q_vals, q_logw = class_means(cocycle, class_of, k, values)
     qgraph = _assemble(k, edges, component_id)
-    return QuotientResult(graph=qgraph, cocycle=Cocycle(q_logw), values=q_vals, class_of=class_of)
+    return QuotientResult(graph=qgraph, cocycle=Cocycle(q_logw), values=q_vals)
 
 
 def read_graph_file(path):

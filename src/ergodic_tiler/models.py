@@ -53,8 +53,13 @@ class ModelBundle:
 
 
 def _bundle(spec, graph, cocycle, raw, frontier=()):
-    """The model with the observable raw centred under its invariant measure."""
+    """The model with the observable raw centred under its invariant measure.
+
+    Weights spread so far that an atom underflows to zero give no rho-invariant
+    measure, since a zero atom's ratio to any other is not its weight ratio."""
     measure = RhoMeasure.from_cocycle(graph, cocycle)
+    if not np.all(measure.atoms > 0):
+        raise BadModel(f"{np.count_nonzero(measure.atoms == 0)} atoms underflow to zero; narrow the weights")
     m = measure.integrate(raw)
     frontier = np.array(frontier, dtype=np.int64)
     return ModelBundle(spec, graph, cocycle, measure, VertexFunction(raw - m), frontier, m)

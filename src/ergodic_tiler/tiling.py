@@ -1,10 +1,11 @@
 """The staged tiling loop, its reductions and constants, and the estimator API.
 
-Each stage contracts the graph by the relation built so far, finds a packed
-and saturated prepartition of near-balanced, large-ratio sets on the
-contraction, and lifts it back. The joined relations form an increasing chain
-of connected finite equivalence relations whose tile averages are driven
-toward the global mean.
+The loop holds one contraction, at first the graph itself. Each searched
+stage contracts it again by the cells the last stage installed, finds a packed
+and saturated prepartition of near-balanced, large-ratio sets on the new
+contraction, and lifts it back to the base vertices. The lifted relations form
+an increasing chain of connected finite equivalence relations whose tile
+averages are driven toward the global mean.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import numpy as np
 
 from .averages import VertexFunction, mean_over
 from .errors import BadDenominator, EmptySet, NotFitted, StallDiagnostic
-from .graph import Cocycle, RhoMeasure, class_means, quotient
+from .graph import Cocycle, QuotientResult, RhoMeasure, class_means, quotient
 from .packing import CentralFamily, SearchBudget, packed_and_saturated
-from .partition import EquivRel, Prepartition, _canonical_labels
+from .partition import EquivRel, Prepartition
 from .reports import ConvergenceReport
 from .validation import as_values_array, check_positive, check_unit_interval, sorted_distinct
 
@@ -118,24 +119,19 @@ def _stage_statistics(cocycle, mu, f, relation, target, eps, frontier, g=None):
 
 def _lift(relation, qpart):
     """A prepartition of the contraction by relation, lifted to the base
-    vertices, and relation.join(lifted.to_equiv()).
+    vertices; relation joined with the lifted cells; and step, the relation
+    qpart induces on the contraction, which the next stage contracts by.
 
-    A lifted cell is a union of the relation's classes, so the joined classes
-    are the lifted cells and the classes of the free quotient vertices. On
-    the contraction, cells keep their labels and each free vertex gets a
-    fresh one; one gather through class_of carries them to the base vertices.
-    relation and qpart are both canonical, so the quotient vertices ascend
-    with their classes' smallest members, and the lifted cells, in qpart's
-    order, are numbered canonically as they come.
+    Base vertex v is contraction vertex relation.class_of[v], so the lifted
+    cells and the joined classes are each one gather through class_of.
+    relation and qpart are canonical, and the contraction's vertices ascend
+    with their classes' smallest members, so both gathers number their
+    classes canonically as they come.
     """
-    cells = qpart.cell_count
-    labels = qpart.cell_of.copy()
-    free = labels < 0
-    labels[free] = cells + np.arange(np.count_nonzero(free))
-    lifted = labels[relation.class_of]
-    joined = EquivRel(*_canonical_labels(lifted))
-    lifted[lifted >= cells] = -1
-    return Prepartition(lifted, cells), joined
+    step = qpart.to_equiv()
+    lifted = Prepartition(qpart.cell_of[relation.class_of], qpart.cell_count)
+    joined = EquivRel(step.class_of[relation.class_of], step.class_count)
+    return lifted, joined, step
 
 
 def _new_report(model, eps, max_stages, target):
@@ -185,12 +181,15 @@ def run_tiling(model, eps, max_stages=12, raise_on_stall=True):
     report = _new_report(model, eps, max_stages, target)
 
     relation = EquivRel.identity(n)
+    # q is the contraction the last stage worked on and step the relation that
+    # stage installed on it, so contracting q by step contracts by relation
+    q, step = QuotientResult(graph, cocycle, g), relation
     covered = np.zeros(n, dtype=bool)
     best_mass = -1.0
     covered_mass_prev = -1.0
     class_count_prev = n + 1
-    # the last stage's contraction and budget, kept while that stage installed no cell
-    idle_q = idle_budget = None
+    # the last stage's budget, kept while that stage installed no cell
+    idle_budget = None
     state.status = "budget_exhausted"
 
     for stage in range(1, max_stages + 1):
@@ -208,12 +207,11 @@ def run_tiling(model, eps, max_stages=12, raise_on_stall=True):
             }
             break
         if (
-            idle_q is not None
-            and stage_budget == idle_budget
+            stage_budget == idle_budget
             and lambdas[stage] <= lambdas[stage - 1]
             and ratios[stage] >= ratios[stage - 1]
         ):
-            # The last stage installed no cell, so the contraction is
+            # The last stage installed no cell, so step is the identity, q is
             # unchanged and this stage's family lies inside the last one.
             # lam and p never steer growth, and the ratio floor only ends a
             # chain past every snapshot admits could pass; this floor is at
@@ -223,17 +221,13 @@ def run_tiling(model, eps, max_stages=12, raise_on_stall=True):
             # compares mass < ratio * wmax and abs(fdot) < lam * mass; float
             # rounding is monotone, so a set this family admits the last one
             # admitted too, in every search, and it admitted none.
-            q = idle_q
             qpart = Prepartition.empty(q.graph.vertex_count)
         else:
-            q = quotient(graph, cocycle, g, relation)
+            q = quotient(q.graph, q.cocycle, q.values, step)
             family = CentralFamily(q.values, lambdas[stage], ratios[stage])
             qpart = packed_and_saturated(q.graph, q.cocycle, family, packs[stage], stage_budget)
-        idle_q, idle_budget = (q, stage_budget) if qpart.cell_count == 0 else (None, None)
-        # the lift reads only the relation's labels, which q.class_of is, so
-        # the contraction is let go first and the lift can reuse its memory
-        q = family = None
-        part, relation = _lift(relation, qpart)
+        idle_budget = stage_budget if qpart.cell_count == 0 else None
+        part, relation, step = _lift(relation, qpart)
         state.prepartitions.append(part)
         state.relations.append(relation)
         covered |= part.domain_mask()

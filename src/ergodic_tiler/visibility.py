@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import BadMagnification, InvariantBreach, NoNextBlock
 from .graph import label_components, outer_boundary
+from .validation import sorted_distinct
 
 
 @dataclass(frozen=True)
@@ -30,13 +31,21 @@ class Block:
         return len(self.vertices)
 
 
-def block(graph, cocycle, x, alpha=1.0):
-    """Connected component of x inside the alpha-sublevel set of x's weight."""
+def _levels(graph, cocycle, alpha, levels):
+    """Per log-weight level: the level's vertices as a mask, and the labels of
+    the pieces of log-weight <= level + log alpha, -1 off them. A vertex's
+    block at alpha is its piece at its own level."""
     if alpha < 1.0:
         raise BadMagnification(f"alpha must be >= 1, got {alpha}")
-    x = int(x)
     lw = cocycle.log_weight
-    labels, _ = label_components(graph.vertex_count, graph.edges(), keep=lw <= lw[x] + np.log(alpha))
+    for level in levels:
+        yield lw == level, label_components(graph.vertex_count, graph.edges(), keep=lw <= level + np.log(alpha))[0]
+
+
+def block(graph, cocycle, x, alpha=1.0):
+    """Connected component of x inside the alpha-sublevel set of x's weight."""
+    x = int(x)
+    _, labels = next(_levels(graph, cocycle, alpha, [cocycle.log_weight[x]]))
     return Block(vertices=np.flatnonzero(labels == labels[x]), dominus=x, alpha=float(alpha))
 
 
@@ -53,17 +62,6 @@ def nested_or_disjoint_check(b1, b2):
     )
 
 
-def _min_weight_vertex(cocycle, vertices):
-    verts = sorted(int(v) for v in vertices)
-    return min(verts, key=lambda v: (float(cocycle.log_weight[v]), v))
-
-
-def _max_weight_vertices(cocycle, vertices):
-    lw = cocycle.log_weight[vertices]
-    top = lw.max()
-    return [int(v) for v, w in zip(vertices, lw) if w == top]
-
-
 def next_block(graph, cocycle, b):
     """Inclusion-least block strictly containing b.
 
@@ -73,7 +71,7 @@ def next_block(graph, cocycle, b):
     boundary = outer_boundary(graph, b.vertices)
     if not boundary.size:
         raise NoNextBlock(f"block of {b.dominus} fills its component")
-    nxt = block(graph, cocycle, _min_weight_vertex(cocycle, boundary), 1.0)
+    nxt = block(graph, cocycle, boundary[np.argmin(cocycle.log_weight[boundary])], 1.0)
     if not set(b.vertices.tolist()) < set(nxt.vertices.tolist()):
         raise InvariantBreach("next block does not strictly contain the current one")
     return nxt
@@ -90,7 +88,8 @@ def dominus_step(graph, cocycle, x):
         target = next_block(graph, cocycle, b)
     except NoNextBlock:
         target = b
-    return min(_max_weight_vertices(cocycle, target.vertices))
+    # the vertices ascend, so argmax takes the smallest of the heaviest
+    return int(target.vertices[np.argmax(cocycle.log_weight[target.vertices])])
 
 
 def dominus_orbit(graph, cocycle, x, limit=None):
@@ -123,13 +122,12 @@ def orbit_merge_test(graph, cocycle):
 
 def cone(graph, cocycle, x):
     """Vertices y whose unit block contains x (the points that can see x)."""
-    x = int(x)
-    comp = graph.component_members(graph.component_id[x])
-    out = []
-    for y in comp:
-        if x in block(graph, cocycle, int(y), 1.0):
-            out.append(int(y))
-    return np.array(sorted(out), dtype=np.int64)
+    lw = cocycle.log_weight
+    sees = np.zeros(graph.vertex_count, dtype=bool)
+    # a piece holds x only at levels at or above x's
+    for at, labels in _levels(graph, cocycle, 1.0, sorted_distinct(lw[lw >= lw[x]])):
+        sees |= at & (labels == labels[x])
+    return np.flatnonzero(sees)
 
 
 def block_decomposition(graph, cocycle, alpha=1.0):
@@ -138,20 +136,20 @@ def block_decomposition(graph, cocycle, alpha=1.0):
     Returns a list of (block, depth) pairs in preorder; depth counts proper
     ancestors among the listed blocks.
     """
+    # blocks are laminar: a first vertex and a size name one
     uniq = {}
-    for v in range(graph.vertex_count):
-        b = block(graph, cocycle, v, alpha)
-        key = tuple(int(u) for u in b.vertices)
-        if key not in uniq or b.dominus < uniq[key].dominus:
-            uniq[key] = b
-    blocks = sorted(uniq.values(), key=lambda b: (-b.size, int(b.vertices[0])))
+    for at, labels in _levels(graph, cocycle, alpha, sorted_distinct(cocycle.log_weight)):
+        members = np.flatnonzero(at)
+        pieces, head = np.unique(labels[members], return_index=True)
+        for piece, dominus in zip(pieces, members[head].tolist()):
+            vertices = np.flatnonzero(labels == piece)
+            key = (int(vertices[0]), vertices.size)
+            if key not in uniq or dominus < uniq[key].dominus:
+                uniq[key] = Block(vertices=vertices, dominus=dominus, alpha=float(alpha))
+    # larger first, so the blocks painted over a first vertex are its ancestors
+    painted = np.zeros(graph.vertex_count, dtype=np.int64)
     out = []
-    for b in blocks:
-        depth = 0
-        bs = set(int(v) for v in b.vertices)
-        for other in blocks:
-            if other.size > b.size and bs < set(int(v) for v in other.vertices):
-                depth += 1
-        out.append((b, depth))
-    out.sort(key=lambda pair: (int(pair[0].vertices[0]), pair[1]))
-    return out
+    for b in sorted(uniq.values(), key=lambda b: -b.size):
+        out.append((b, int(painted[b.vertices[0]])))
+        painted[b.vertices] += 1
+    return sorted(out, key=lambda pair: (int(pair[0].vertices[0]), pair[1]))

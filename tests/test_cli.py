@@ -178,8 +178,9 @@ def test_flow_check_of_a_valid_flow(monkeypatch, capsys, graph_file, tmp_path):
         ("0 1 abc\n", "line 1 must be 'x y value'"),
         ("0 6 0.25\n", "pair (0,6) has an endpoint outside 0..5"),
         ("-1 2 0.25\n", "pair (-1,2) has an endpoint outside 0..5"),
+        ("0 1 inf\n", "entry phi(0,1) = inf is negative or not finite"),
     ],
-    ids=["token-count", "non-numeric", "vertex-past-n", "negative-vertex"],
+    ids=["token-count", "non-numeric", "vertex-past-n", "negative-vertex", "infinite-value"],
 )
 def test_flow_check_of_a_malformed_flow_is_an_error(monkeypatch, capsys, graph_file, tmp_path, text, message):
     flow = tmp_path / "flow.txt"

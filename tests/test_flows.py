@@ -78,8 +78,15 @@ class TestValidateFlow:
 
     def test_nan_entry_raises(self):
         g, c = path_graph(2)
-        with pytest.raises(MalformedFlow, match="is negative or not a number"):
+        with pytest.raises(MalformedFlow, match="is negative or not finite"):
             validate_flow(RhoFlow({(0, 1): float("nan")}), g, c)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_infinite_entry_raises(self, value):
+        """+inf passes a sign test alone, and its in-flow makes a nan net."""
+        g, c = path_graph(2)
+        with pytest.raises(MalformedFlow, match="is negative or not finite"):
+            validate_flow(RhoFlow({(0, 1): value}), g, c)
 
     def test_cross_component_raises(self):
         g, c = build_graph([], [0.0, 0.0])

@@ -80,6 +80,12 @@ def test_unknown_kind_is_rejected():
         generate_model(ModelSpec("torus", 8))
 
 
+@pytest.mark.parametrize("spec", [ModelSpec("free_tree", 3, p=1e-200), ModelSpec("odometer", 10, p=1e-40)])
+def test_weights_whose_atoms_underflow_are_rejected(spec):
+    with pytest.raises(BadModel, match="underflow to zero"):
+        generate_model(spec)
+
+
 def test_odometer_on_two_points_is_one_edge():
     model = generate_model(ModelSpec("odometer", 1, p=0.3))
     assert model.graph.vertex_count == 2

@@ -22,6 +22,7 @@ from ergodic_tiler import (
     build_graph,
     emit_report,
     generate_model,
+    quotient,
     ratio_experiment,
     run_tiling,
 )
@@ -154,6 +155,27 @@ def test_a_stage_after_one_that_installed_nothing_searches_nothing(monkeypatch):
     assert report.status == "stalled"
 
 
+def test_each_stage_contracts_the_last_contraction(monkeypatch):
+    """bernoulli 13 searches three stages. The first contracts the graph by
+    the identity and hands it back; each later one contracts the graph the
+    call before returned, so stage 3 contracts stage 2's 303 vertices, not
+    the 8,192 base vertices again."""
+    seen, returned = [], []
+
+    def recorded(graph, *args):
+        seen.append(graph)
+        returned.append(quotient(graph, *args))
+        return returned[-1]
+
+    monkeypatch.setattr(tiling, "quotient", recorded)
+    model = generate_model(ModelSpec("bernoulli", 13, p=0.3, q=0.5))
+    state, _ = run_tiling(model, eps=0.05, max_stages=8, raise_on_stall=False)
+    assert [graph.vertex_count for graph in seen] == [8192, 8192, 303]
+    assert seen[0] is model.graph
+    assert all(graph is q.graph for graph, q in zip(seen[1:], returned))
+    assert [part.cell_count for part in state.prepartitions] == [66, 1, 0]
+
+
 @pytest.mark.parametrize("spec", CHAIN_MODELS, ids=lambda s: f"{s.kind}-{s.n}")
 def test_ratio_experiment_with_unit_denominator_is_run_tiling(spec):
     model = generate_model(spec)
@@ -219,16 +241,22 @@ def lifts(draw):
 @settings(max_examples=200, deadline=None)
 @given(lifts())
 def test_the_lift_relabels_what_the_join_builds(case):
-    """Relabelling the contraction gives the relation the union-find join
-    builds from the lifted prepartition, and that prepartition itself."""
+    """Gathering through the relation gives the lifted prepartition, the
+    relation the union-find join builds from it, and the contraction's own
+    relation of the cells plus singletons."""
     relation, qpart = case
-    part, joined = _lift(relation, qpart)
+    part, joined, step = _lift(relation, qpart)
     expected = Prepartition.from_labels(qpart.cell_of[relation.class_of])
     assert part.cell_count == expected.cell_count
     assert part.cell_of.tobytes() == expected.cell_of.tobytes()
     reference = relation.join(expected.to_equiv())
     assert joined.class_count == reference.class_count
     assert joined.class_of.tobytes() == reference.class_of.tobytes()
+    k = relation.class_count
+    free = [[v] for v in range(k) if qpart.cell_of[v] < 0]
+    singles = EquivRel.from_classes(list(qpart.cells) + free, k)
+    assert step.class_count == singles.class_count == joined.class_count
+    assert step.class_of.tobytes() == singles.class_of.tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergodic_tiler import (
     BadMagnification,
@@ -16,6 +20,11 @@ from ergodic_tiler import (
 )
 
 from test_graph import path_graph, random_connected
+from test_packing import multi_component_instances
+
+# few distinct levels, so that many vertices share one, and alpha = e lifts a
+# level onto the next
+LEVELED = multi_component_instances(log_weight=st.integers(-3, 3).map(float))
 
 
 def bump_path():
@@ -194,6 +203,19 @@ class TestCone:
             cx = cone(g, c, x)
             assert c.log_weight[cx].max() == c.log_weight[comp].max()
 
+    @settings(max_examples=60, deadline=None)
+    @given(LEVELED)
+    def test_matches_the_blocks_that_hold_x(self, case):
+        """cone labels each level once; by definition y sees x when x lies
+        in y's own unit block."""
+        g, c = case[:2]
+        seen_by = [[] for _ in range(g.vertex_count)]
+        for y in range(g.vertex_count):
+            for x in block(g, c, y, 1.0).vertices.tolist():
+                seen_by[x].append(y)
+        for x in range(g.vertex_count):
+            assert cone(g, c, x).tolist() == seen_by[x]
+
 
 class TestAmalgamation:
     def test_constructive(self):
@@ -236,3 +258,21 @@ class TestBlockDecomposition:
         rows = block_decomposition(g, c, 1.0)
         sets = [tuple(b.vertices.tolist()) for b, _ in rows]
         assert (0, 1, 2) in sets and (0,) in sets and (2,) in sets
+
+    @settings(max_examples=60, deadline=None)
+    @given(LEVELED, st.sampled_from([1.0, math.e, 2.5]))
+    def test_matches_the_listing_of_every_vertex_block(self, case, alpha):
+        """One labelling per level lists what the block of every vertex
+        lists: each distinct block once, at its smallest dominus, with its
+        depth the count of listed blocks that strictly contain it."""
+        g, c = case[:2]
+        uniq = {}
+        for v in range(g.vertex_count):
+            b = block(g, c, v, alpha)
+            uniq.setdefault(tuple(b.vertices.tolist()), b)
+        want = sorted(
+            ((list(key), b.dominus, sum(set(key) < set(other) for other in uniq)) for key, b in uniq.items()),
+            key=lambda row: (row[0][0], row[2]),
+        )
+        got = [(b.vertices.tolist(), b.dominus, depth) for b, depth in block_decomposition(g, c, alpha)]
+        assert got == want
