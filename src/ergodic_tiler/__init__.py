@@ -12,11 +12,9 @@ from .errors import (
     InvariantBreach,
     MalformedFlow,
     MalformedGraph,
-    NoNextBlock,
     NotCoherent,
     NotClosed,
     NotDisjoint,
-    NotFitted,
     StallDiagnostic,
     TooLargeForExact,
 )
@@ -26,10 +24,8 @@ from .graph import (
     WeightedGraph,
     build_graph,
     is_connected_set,
-    outer_boundary,
     quotient,
     read_graph_file,
-    rho_max_ratio,
     rho_order_key,
     rho_sorted,
     write_graph_file,
@@ -68,11 +64,6 @@ from .visibility import (
     block,
     block_decomposition,
     cone,
-    dominus_orbit,
-    dominus_step,
-    next_block,
-    nested_or_disjoint_check,
-    orbit_merge_test,
 )
 from .cuts import (
     CutReport,
@@ -87,7 +78,6 @@ from .cuts import (
 )
 from .models import ModelBundle, ModelSpec, generate_model
 from .tiling import (
-    ErgodicTiler,
     TilingState,
     cutting_one_side_delta,
     linf_reduction,

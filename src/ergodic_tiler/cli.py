@@ -6,6 +6,7 @@ audit finds violations, 1 on errors.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import click
@@ -47,8 +48,20 @@ def _parse_config(path):
     return cfg
 
 
+class _FloatRange(click.FloatRange):
+    """A click.FloatRange that also refuses NaN, which fails every comparison
+    and so passes every bound."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if math.isnan(rv):
+            self.fail(f"{rv} is not in the range {self._describe_range()}.", param, ctx)
+        return rv
+
+
 # the run's tolerance and stage count, for options and config keys alike
-EPS = click.FloatRange(0, 1, min_open=True, max_open=True)
+EPS = _FloatRange(0, 1, min_open=True, max_open=True)
+POSITIVE = _FloatRange(min=0, min_open=True)
 STAGES = click.IntRange(min=1)
 
 
@@ -173,9 +186,9 @@ def flow_check(obj, graph_path, flow_path):
 @main.command()
 @click.argument("graph_path", type=click.Path(exists=True))
 @click.option("--family", "family_kind", type=click.Choice(["connected", "central"]), default="connected")
-@click.option("--lam", type=float, default=0.1, help="centrality window for --family central")
-@click.option("--min-ratio", type=float, default=1.0, help="mass-ratio floor for --family central")
-@click.option("--p", "pack_p", type=click.FloatRange(min=0, min_open=True), default=1.0, help="pack threshold")
+@click.option("--lam", type=POSITIVE, default=0.1, help="centrality window for --family central")
+@click.option("--min-ratio", type=POSITIVE, default=1.0, help="mass-ratio floor for --family central")
+@click.option("--p", "pack_p", type=POSITIVE, default=1.0, help="pack threshold")
 @click.option("--saturated/--no-saturated", default=True, help="also saturate")
 @click.option("--audit", "audit_path", type=click.Path(exists=True), default=None, help="audit a dumped prepartition instead of building one")
 @click.pass_obj

@@ -50,10 +50,6 @@ class BadMagnification(ErgodicTilerError):
     """Block magnification must be at least 1."""
 
 
-class NoNextBlock(ErgodicTilerError):
-    """The block already fills its component; no strictly larger block exists."""
-
-
 class InvariantBreach(ErgodicTilerError):
     """A structural law that must hold on finite instances was violated."""
 
@@ -68,10 +64,6 @@ class BadModel(ErgodicTilerError):
 
 class BadDenominator(ErgodicTilerError):
     """Ratio statistics need a strictly positive denominator function."""
-
-
-class NotFitted(ErgodicTilerError):
-    """Estimator method called before fit()."""
 
 
 class StallDiagnostic(ErgodicTilerError):

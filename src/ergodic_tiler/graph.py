@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DisconnectedClass, MalformedGraph
-from .validation import as_values_array, as_vertex_array, require_nonempty, require_same_component, sorted_distinct
+from .validation import as_values_array, as_vertex_array, sorted_distinct
 
 
 class WeightedGraph:
@@ -191,20 +191,6 @@ def _assemble(n, edges, component_id):
     return WeightedGraph(n, indptr, dst[order], component_id, edges)
 
 
-def outer_boundary(graph, U):
-    """Vertices outside U adjacent to some vertex of U."""
-    U = as_vertex_array(U, graph.vertex_count)
-    require_nonempty(U)
-    in_u = np.zeros(graph.vertex_count, dtype=bool)
-    in_u[U] = True
-    out = set()
-    for u in U:
-        for v in graph.neighbors(u):
-            if not in_u[v]:
-                out.add(int(v))
-    return np.array(sorted(out), dtype=np.int64)
-
-
 def is_connected_set(graph, U):
     """True iff the induced subgraph on U is connected; empty and singletons count."""
     return _is_connected_sorted(graph, as_vertex_array(U, graph.vertex_count))
@@ -224,15 +210,6 @@ def _is_connected_sorted(graph, U):
     inside = U[np.minimum(pos, U.size - 1)] == nbr
     src = np.repeat(np.arange(U.size), degree)
     return label_components(U.size, np.stack([src[inside], pos[inside]], axis=1))[1] == 1
-
-
-def rho_max_ratio(graph, cocycle, U):
-    """Total mass of U over its largest single mass; in [1, len(U)]."""
-    U = as_vertex_array(U, graph.vertex_count)
-    require_nonempty(U)
-    require_same_component(graph, U)
-    lw = cocycle.log_weight[U]
-    return float(np.exp(lw - lw.max()).sum())
 
 
 def rho_order_key(cocycle, x):
@@ -361,10 +338,17 @@ def quotient(graph, cocycle, values, relation):
         return QuotientResult(graph=graph, cocycle=cocycle, values=values)
     base_edges = graph.edges()
 
-    # the intra-class edges split each class into its pieces: one piece per
-    # class iff every class is connected
+    # each crossing edge codes its class pair as lo * k + hi; sorted and
+    # deduplicated, the codes are the quotient's edges in (lo, hi) order
     cu, cv = class_of[base_edges[:, 0]], class_of[base_edges[:, 1]]
     cross = cu != cv
+    codes = sorted_distinct(np.minimum(cu, cv)[cross] * k + np.maximum(cu, cv)[cross])
+    # the labelling below sets a stage's peak memory, so the per-edge class
+    # arrays go first
+    del cu, cv
+
+    # the intra-class edges split each class into its pieces: one piece per
+    # class iff every class is connected
     pieces, count = label_components(graph.vertex_count, base_edges[~cross])
     if count != k:
         first_members = np.unique(pieces, return_index=True)[1]
@@ -372,9 +356,6 @@ def quotient(graph, cocycle, values, relation):
         bad = np.flatnonzero(class_of == bad_class)
         raise DisconnectedClass(f"class with members {bad[:8].tolist()}... is not connected")
 
-    # each crossing edge codes its class pair as lo * k + hi; sorted and
-    # deduplicated, the codes are the quotient's edges in (lo, hi) order
-    codes = sorted_distinct(np.minimum(cu, cv)[cross] * k + np.maximum(cu, cv)[cross])
     edges = np.stack(np.divmod(codes, k), axis=1)
     # every class is connected, so its members share one component label,
     # and both labellings number components by their smallest member

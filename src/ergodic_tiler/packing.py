@@ -90,8 +90,8 @@ class CentralFamily(CellFamily):
 
     def __init__(self, values, lam, min_ratio=1.0):
         self.values = np.asarray(as_values_array(values), dtype=float)
-        self.lam = float(lam)
-        self.min_ratio = float(min_ratio)
+        self.lam = check_positive(lam, "lam")
+        self.min_ratio = check_positive(min_ratio, "min_ratio")
 
     def contains(self, graph, cocycle, vertices):
         v = as_vertex_array(vertices, graph.vertex_count)

@@ -1,4 +1,4 @@
-"""The staged tiling loop, its reductions and constants, and the estimator API.
+"""The staged tiling loop, its reductions and constants, and the ratio experiment.
 
 The loop holds one contraction, at first the graph itself. Each searched
 stage contracts it again by the cells the last stage installed, finds a packed
@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .averages import VertexFunction, mean_over
-from .errors import BadDenominator, EmptySet, NotFitted, StallDiagnostic
+from .averages import VertexFunction
+from .errors import BadDenominator, EmptySet, StallDiagnostic
 from .graph import Cocycle, QuotientResult, RhoMeasure, class_means, quotient
 from .packing import CentralFamily, SearchBudget, packed_and_saturated
 from .partition import EquivRel, Prepartition
@@ -316,46 +316,3 @@ def ratio_experiment(model, g, eps, max_stages=12, f=None, raise_on_stall=True):
     report.status = state.status
     return state, report
 
-
-class ErgodicTiler:
-    """Estimator wrapper around the staged tiling loop.
-
-    Parameters mirror run_tiling; fit(model) learns the chain of relations
-    and stores per-vertex tile labels, after which transform averages any
-    observable over the learned tiles.
-    """
-
-    def __init__(self, eps=0.05, max_stages=12, raise_on_stall=False):
-        self.eps = eps
-        self.max_stages = max_stages
-        self.raise_on_stall = raise_on_stall
-
-    def fit(self, model):
-        state, report = run_tiling(
-            model, eps=self.eps, max_stages=self.max_stages, raise_on_stall=self.raise_on_stall
-        )
-        self.model_ = model
-        self.state_ = state
-        self.report_ = report
-        self.relation_ = state.relations[-1] if state.relations else EquivRel.identity(model.graph.vertex_count)
-        self.labels_ = self.relation_.class_of.copy()
-        return self
-
-    def _check_fitted(self):
-        if not hasattr(self, "state_"):
-            raise NotFitted("call fit(model) first")
-
-    def transform(self, values=None):
-        """E[f | R] on the learned relation: each vertex gets its tile's weighted mean of f."""
-        self._check_fitted()
-        model = self.model_
-        vals = values if values is not None else model.values
-        return mean_over(model.graph, vals, model.cocycle, self.relation_)
-
-    def fit_transform(self, model, values=None):
-        return self.fit(model).transform(values)
-
-    def score(self, model=None):
-        """Final fraction of mass whose tile average met the tolerance."""
-        self._check_fitted()
-        return self.report_.final_mass

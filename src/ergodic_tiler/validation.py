@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CrossComponent, EmptySet
+from .errors import CrossComponent
 
 
 def sorted_distinct(a):
@@ -40,12 +40,6 @@ def as_vertex_array(U, vertex_count=None):
         if arr[0] < 0 or arr[-1] >= vertex_count:
             raise IndexError(f"vertex ids must lie in [0, {vertex_count}); got {arr[0]}..{arr[-1]}")
     return arr
-
-
-def require_nonempty(U, what="vertex set"):
-    if len(U) == 0:
-        raise EmptySet(f"{what} must be nonempty")
-    return U
 
 
 def require_same_component(graph, U, what="vertex set"):

@@ -112,6 +112,11 @@ OUT_OF_RANGE = [
     ("price", "--k", "0"),
     ("pack", "--p", "0"),
     ("pack", "--p", "-1"),
+    ("tile", "--eps", "nan"),
+    ("pack", "--p", "nan"),
+    ("pack", "--lam", "nan"),
+    ("pack", "--lam", "-1"),
+    ("pack", "--min-ratio", "nan"),
 ]
 
 
@@ -129,6 +134,7 @@ def test_an_option_out_of_range_is_a_usage_error(monkeypatch, capsys, graph_file
     [
         ("run.eps = abc", "config run.eps: 'abc' is not a valid float range."),
         ("run.eps = 1.5", "config run.eps: 1.5 is not in the range 0<x<1."),
+        ("run.eps = nan", "config run.eps: nan is not in the range 0<x<1."),
         ("run.max_stages = 0", "config run.max_stages: 0 is not in the range x>=1."),
         ("run.seed = x", "config run.seed: invalid literal for int() with base 10: 'x'"),
     ],
@@ -161,6 +167,12 @@ def test_blocks_lists_the_decomposition(monkeypatch, capsys, graph_file):
     assert lines == [
         "  " * depth + f"[{' '.join(map(str, blk.vertices.tolist()))}] dominus={blk.dominus}" for blk, depth in rows
     ]
+
+
+@pytest.mark.parametrize("alpha", ["0.5", "nan"])
+def test_blocks_below_unit_magnification_is_an_error(monkeypatch, capsys, graph_file, alpha):
+    assert run_cli(monkeypatch, "blocks", graph_file, "--alpha", alpha) == 1
+    assert capsys.readouterr().err == f"error: alpha must be >= 1, got {alpha}\n"
 
 
 def test_flow_check_of_a_valid_flow(monkeypatch, capsys, graph_file, tmp_path):

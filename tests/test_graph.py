@@ -9,18 +9,14 @@ from hypothesis import strategies as st
 
 from ergodic_tiler import (
     Cocycle,
-    CrossComponent,
     DisconnectedClass,
-    EmptySet,
     EquivRel,
     MalformedGraph,
     RhoMeasure,
     build_graph,
     is_connected_set,
-    outer_boundary,
     quotient,
     read_graph_file,
-    rho_max_ratio,
     rho_order_key,
     rho_sorted,
     write_graph_file,
@@ -236,25 +232,6 @@ class TestLabelComponents:
         assert count == expect_count
 
 
-class TestOuterBoundary:
-    def test_path_middle(self):
-        g, _ = path_graph(3)
-        assert outer_boundary(g, [1]).tolist() == [0, 2]
-
-    def test_whole_component_empty(self):
-        g, _ = path_graph(3)
-        assert outer_boundary(g, [0, 1, 2]).size == 0
-
-    def test_isolated_vertex(self):
-        g, _ = build_graph([], [0.0, 0.0])
-        assert outer_boundary(g, [1]).size == 0
-
-    def test_empty_rejected(self):
-        g, _ = path_graph(3)
-        with pytest.raises(EmptySet):
-            outer_boundary(g, [])
-
-
 class TestConnectedSet:
     def test_path_endpoints_disconnected(self):
         g, _ = path_graph(3)
@@ -268,50 +245,6 @@ class TestConnectedSet:
         g, _ = path_graph(6)
         assert is_connected_set(g, [5])
         assert is_connected_set(g, [])
-
-
-class TestRhoMaxRatio:
-    def test_singleton(self):
-        g, c = path_graph(3)
-        assert rho_max_ratio(g, c, [1]) == 1.0
-
-    def test_equal_weights_counts(self):
-        g, c = path_graph(3)
-        assert rho_max_ratio(g, c, [0, 1, 2]) == pytest.approx(3.0)
-
-    def test_hand_value(self):
-        g, c = path_graph(3, np.log([1.0, 2.0, 4.0]))
-        assert rho_max_ratio(g, c, [0, 1, 2]) == pytest.approx(7.0 / 4.0)
-
-    def test_cross_component_rejected(self):
-        g, c = build_graph([(0, 1)], [0.0, 0.0, 0.0])
-        with pytest.raises(CrossComponent):
-            rho_max_ratio(g, c, [0, 2])
-
-    def test_bounds(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            n = int(rng.integers(2, 12))
-            g, c = random_connected(rng, n)
-            size = int(rng.integers(1, n + 1))
-            U = rng.choice(n, size=size, replace=False)
-            r = rho_max_ratio(g, c, U)
-            assert 1.0 - 1e-12 <= r <= size + 1e-12
-
-    def test_monotone_ratio_bound(self):
-        # for nested U inside V, the ratio of ratios is at most the mass ratio
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            n = int(rng.integers(3, 20))
-            g, c = random_connected(rng, n)
-            su = int(rng.integers(1, n))
-            U = np.sort(rng.choice(n, size=su, replace=False))
-            extra = np.setdiff1d(np.arange(n), U)
-            V = np.sort(np.concatenate([U, rng.choice(extra, size=int(rng.integers(1, len(extra) + 1)), replace=False)]))
-            w = np.exp(c.log_weight - c.log_weight.max())
-            lhs = rho_max_ratio(g, c, V) / rho_max_ratio(g, c, U)
-            rhs = w[V].sum() / w[U].sum()
-            assert lhs <= rhs * (1 + 1e-9)
 
 
 class TestRhoOrder:

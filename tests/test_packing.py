@@ -197,6 +197,8 @@ def test_a_family_inside_one_that_admitted_nothing_admits_nothing(
     graph, cocycle, values, p = case
     if packed_and_saturated(graph, cocycle, CentralFamily(values, lam, min_ratio), p, budget).cell_count:
         return
+    # a family's window must be positive
+    assume(lam * narrow > 0)
     family = CentralFamily(values, lam * narrow, min_ratio * widen)
     assert packed_and_saturated(graph, cocycle, family, other_p, budget).cell_count == 0
 
@@ -775,3 +777,11 @@ def test_admits_on_running_totals_agrees_with_contains(case, lam, min_ratio):
         checked += 1
     assert checked or not family.calls
 
+
+
+@pytest.mark.parametrize("lam, min_ratio", [(float("nan"), 1.0), (-1.0, 1.0), (0.5, float("nan")), (0.5, 0.0)])
+def test_a_window_or_ratio_floor_that_is_not_positive_is_refused(lam, min_ratio):
+    """NaN fails every comparison, so a NaN window or floor would admit
+    nothing, or drop the floor, without a word."""
+    with pytest.raises(ValueError, match="must be positive"):
+        CentralFamily(np.zeros(3), lam, min_ratio)

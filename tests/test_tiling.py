@@ -13,15 +13,16 @@ from ergodic_tiler import (
     BadDenominator,
     EmptySet,
     EquivRel,
-    ErgodicTiler,
     ModelBundle,
     ModelSpec,
     Prepartition,
     RhoMeasure,
     VertexFunction,
     build_graph,
+    coherent_limit,
     emit_report,
     generate_model,
+    mean_over,
     quotient,
     ratio_experiment,
     run_tiling,
@@ -63,7 +64,8 @@ class TestSteepCocycle:
             frontier=np.empty(0, dtype=np.int64),
             raw_mean=0.25,
         )
-        out = ErgodicTiler(max_stages=1).fit_transform(model)
+        state, _ = run_tiling(model, eps=0.05, max_stages=1, raise_on_stall=False)
+        out = mean_over(graph, model.values, cocycle, state.relations[-1])
         assert np.all(out == 0.25)
 
 
@@ -123,16 +125,34 @@ def test_same_seed_gives_byte_identical_output(spec, tmp_path):
 
 def test_estimator_fits_the_run_tiling_chain():
     model = generate_model(ModelSpec("random_regular", 120, seed=1))
-    state, report = run_tiling(model, eps=0.05, max_stages=12, raise_on_stall=False)
-    tiler = ErgodicTiler(eps=0.05, max_stages=12).fit(model)
-    assert tiler.report_.status == report.status
-    assert np.array_equal(tiler.labels_, state.relations[-1].class_of)
-    # transform is E[f | R] on the fitted relation: it keeps the integral and
-    # is constant on every class
-    means = tiler.transform()
+    state, _ = run_tiling(model, eps=0.05, max_stages=12, raise_on_stall=False)
+    relation = state.relations[-1]
+    # E[f | R] on the run's last relation keeps the integral and is constant
+    # on every class
+    means = mean_over(model.graph, model.values, model.cocycle, relation)
     assert abs(model.measure.integrate(means) - model.measure.integrate(model.values)) <= 1e-12
-    for cls in tiler.relation_.classes:
+    for cls in relation.classes:
         assert np.all(means[cls] == means[cls[0]])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec("bernoulli", 13, p=0.3, q=0.5),
+        ModelSpec("bernoulli", 8, p=0.3, q=0.5),
+        ModelSpec("odometer", 9, p=0.4),
+        ModelSpec("free_tree", 3),
+        ModelSpec("random_regular", 200, seed=1),
+    ],
+    ids=lambda s: f"{s.kind}-{s.n}",
+)
+def test_the_coherent_limit_of_a_run_is_its_last_relation_on_the_covered_vertices(spec):
+    """The stages' tiles form the increasing sequence of finite subgraphs, and
+    their limit is what the run's last relation holds on the tiled vertices."""
+    state, _ = run_tiling(generate_model(spec), eps=0.05, max_stages=8, raise_on_stall=False)
+    covered = np.any([part.domain_mask() for part in state.prepartitions], axis=0)
+    restricted = Prepartition.from_labels(np.where(covered, state.relations[-1].class_of, -1))
+    assert np.array_equal(coherent_limit(state.prepartitions).prepartition.cell_of, restricted.cell_of)
 
 
 def test_a_stage_after_one_that_installed_nothing_searches_nothing(monkeypatch):
