@@ -56,7 +56,13 @@ class CellFamily:
     values = None
     min_ratio = 0.0
 
-    def contains(self, graph, cocycle, vertices):
+    def contains(self, graph, cocycle, vertices, connected=False):
+        """Whether the vertex set is in the family.
+
+        With connected set, the caller vouches that vertices is an int64
+        array that is sorted, distinct, in range and connected, and the
+        oracle neither coerces it nor tests its connectivity.
+        """
         raise NotImplementedError
 
     def admits(self, mass, fdot, wmax):
@@ -74,9 +80,9 @@ class CellFamily:
 class ConnectedFamily(CellFamily):
     """All nonempty connected sets."""
 
-    def contains(self, graph, cocycle, vertices):
-        v = as_vertex_array(vertices, graph.vertex_count)
-        return v.size > 0 and _is_connected_sorted(graph, v)
+    def contains(self, graph, cocycle, vertices, connected=False):
+        v = vertices if connected else as_vertex_array(vertices, graph.vertex_count)
+        return v.size > 0 and (connected or _is_connected_sorted(graph, v))
 
 
 class CentralFamily(CellFamily):
@@ -84,8 +90,8 @@ class CentralFamily(CellFamily):
 
     U is in S iff it is connected, |sum f w| < lam * sum w and
     sum w >= min_ratio * max w, with w the vertex weights over U. admits is
-    this test on a candidate's running totals; contains is connectivity plus
-    admits on U's own totals.
+    this test on a candidate's running totals; contains is admits on U's own
+    totals, after a connectivity test unless the caller vouches for it.
     """
 
     def __init__(self, values, lam, min_ratio=1.0):
@@ -93,9 +99,9 @@ class CentralFamily(CellFamily):
         self.lam = check_positive(lam, "lam")
         self.min_ratio = check_positive(min_ratio, "min_ratio")
 
-    def contains(self, graph, cocycle, vertices):
-        v = as_vertex_array(vertices, graph.vertex_count)
-        if v.size == 0 or not _is_connected_sorted(graph, v):
+    def contains(self, graph, cocycle, vertices, connected=False):
+        v = vertices if connected else as_vertex_array(vertices, graph.vertex_count)
+        if v.size == 0 or not (connected or _is_connected_sorted(graph, v)):
             return False
         lw = cocycle.log_weight[v]
         w = np.exp(lw - lw.max())
@@ -234,6 +240,16 @@ class _Search:
     rejects the rest of the chain whatever p and max_cells are; so it yields
     nothing for any of them and candidates skips its anchor. Installing a
     cell can change how every chain grows, so apply empties the set.
+
+    connected records whether every given cell is connected; if so, every
+    candidate is, and the oracle is told so. A greedy chain grows only
+    through neighbours of the units it already holds, and ESU builds only
+    connected unit sets, so a candidate whose units are all connected is
+    connected. A free vertex is connected, a given cell is by the test
+    here, and every cell the search installs is one of its own candidates;
+    so by induction every unit is. A search given a disconnected cell,
+    which only an outside prepartition can bring, has the oracle test every
+    candidate.
     """
 
     def __init__(self, graph, cocycle, family, budget, cells=()):
@@ -248,9 +264,11 @@ class _Search:
         self._stats = {}
         self._next_id = 0
         self.dead = set()
+        self.connected = True
         for c in cells:
             # the search runs one component at a time
             require_same_component(graph, c, f"cell starting at vertex {int(c[0])}")
+            self.connected = self.connected and _is_connected_sorted(graph, c)
             self._install(c)
         self.nw = cocycle.component_normalized_weights(graph)
         self.fnw = np.zeros(n) if family.values is None else self.nw * family.values
@@ -350,7 +368,7 @@ class _Search:
                 sizes = reversed(list(sizes))
             for size in sizes:
                 cand = np.array(sorted(grown[:size]), dtype=np.int64)
-                if self.family.contains(self.graph, self.cocycle, cand):
+                if self.family.contains(self.graph, self.cocycle, cand, connected=self.connected):
                     yield cand
                     break
 
@@ -468,10 +486,11 @@ class _Search:
         the set's extension by w's neighbours above a that are neither in the
         set nor next to it; a unit thus enters an extension only with the
         first member it touches and leaves for good once popped, so each set
-        is built once and is connected. The oracle still tests the vertex
-        set, as a cell may be disconnected. A set past max_cells cells is not
-        grown. A group is sorted and checked only when the caller asks past
-        the group before it.
+        is built once and is connected. Its vertex set is then connected
+        too, unless a given cell is not; only then does the oracle test it
+        for connectivity. A set past max_cells cells is not grown. A group
+        is sorted and checked only when the caller asks past the group
+        before it.
         """
         head, cell_of, unit_stats = self.head_v, self.cell_of_v, self.unit_stats
         adj = {
@@ -498,7 +517,7 @@ class _Search:
                     stack.append(((*chosen, w), ext | {x for x in adj[w] - near if x > a}, near | adj[w]))
             for cand in sorted(group, key=lambda c: (len(c), c)):
                 cand = np.array(cand, dtype=np.int64)
-                if self.family.contains(self.graph, self.cocycle, cand):
+                if self.family.contains(self.graph, self.cocycle, cand, connected=self.connected):
                     yield cand
 
     def pack(self, p):
@@ -567,8 +586,10 @@ def find_pack(graph, cocycle, family, prepart, p, budget=DEFAULT_BUDGET, injecti
     """First pack over the prepartition found within the family, or None.
 
     Complete on components within the exhaustive limit, greedy beyond it.
-    Every candidate has passed the family oracle once; a returned pack is
-    re-checked against the mass condition and always carries fresh mass.
+    Every candidate is in the family: the oracle tests its totals, and its
+    connectivity too when a cell of the prepartition is disconnected. A
+    returned pack is re-checked against the mass condition and always
+    carries fresh mass.
     """
     return _Search(graph, cocycle, family, budget, prepart.cells).find_pack(p, injective)
 

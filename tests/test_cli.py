@@ -4,7 +4,17 @@ from pathlib import Path
 
 import pytest
 
-from ergodic_tiler import RhoMeasure, block_decomposition, edge_price, read_graph_file, vertex_price
+from ergodic_tiler import (
+    CentralFamily,
+    Prepartition,
+    RhoMeasure,
+    audit_packed,
+    audit_saturated,
+    block_decomposition,
+    edge_price,
+    read_graph_file,
+    vertex_price,
+)
 from ergodic_tiler.cli import entry, main
 
 # header "n m", the edges, then "logw f" per vertex
@@ -70,6 +80,68 @@ class TestPackExitCodes:
         dump.write_text("1 2\n")
         assert run_cli(monkeypatch, "pack", graph_path, "--audit", dump) == 1
         assert "error: cell starting at vertex 1 spans components" in capsys.readouterr().err
+
+
+def disconnected_cell_instance(tmp_path, n):
+    """A graph file on n vertices and a dump of its one cell {0, 2}, which
+    free vertex 4 joins and free leaf 1 hangs off. Vertex 1's f of 1
+    balances the cell's; 3 and 5..n-1 extend 4 by an edge and a path."""
+    edges = [(0, 4), (1, 2), (2, 4), (3, 4), *((v, v + 1) for v in range(4, n - 1))]
+    values = [-0.5, 1.0, -0.5] + [0.0] * (n - 3)
+    graph_path = tmp_path / f"cell02_{n}.txt"
+    lines = [f"{n} {len(edges)}", *(f"{u} {v}" for u, v in edges), *(f"0.0 {f}" for f in values)]
+    graph_path.write_text("\n".join(lines) + "\n")
+    dump = tmp_path / "cell02.txt"
+    dump.write_text("0 2\n")
+    return graph_path, dump
+
+
+# the oracle's questions and answers in each audit: 8 vertices meet the
+# complete search, 16 the greedy chain
+ASKED = {
+    8: [([0, 1, 2], False), ([0, 2, 4], False), ([0, 1, 2, 4], True)],
+    16: [([0, 1, 2], False), ([0, 1, 2, 4], True)],
+}
+
+
+@pytest.mark.parametrize("n", sorted(ASKED))
+class TestAuditOfADisconnectedCell:
+    """A search given a disconnected cell has its oracle test every
+    candidate for connectivity: it refuses {0, 1, 2}, which absorbs the cell
+    without the vertex that joins it, and both audits find {0, 1, 2, 4}."""
+
+    def test_audits(self, tmp_path, n):
+        graph_path, dump = disconnected_cell_instance(tmp_path, n)
+        graph, cocycle, values = read_graph_file(graph_path)
+        part = Prepartition.load(dump, n)
+        asked_now = []
+
+        class AskedFamily(CentralFamily):
+            def contains(self, graph, cocycle, vertices, **kwargs):
+                verdict = super().contains(graph, cocycle, vertices, **kwargs)
+                asked_now.append((vertices.tolist(), verdict))
+                return verdict
+
+        family = AskedFamily(values, 0.1, 1.0)
+        pack = audit_packed(graph, cocycle, family, part, 0.25)
+        assert asked_now == ASKED[n]
+        asked_now.clear()
+        grow = audit_saturated(graph, cocycle, family, part)
+        assert asked_now == ASKED[n]
+        for cert, p in ((pack, 0.25), (grow, 0.0)):
+            assert (cert.vertices.tolist(), cert.absorbed_cells, cert.new_mass, cert.covered_mass, cert.p) == (
+                [0, 1, 2, 4], (0,), 2.0, 2.0, p
+            )
+
+    def test_cli_audit(self, monkeypatch, capsys, tmp_path, n):
+        graph_path, dump = disconnected_cell_instance(tmp_path, n)
+        args = ("pack", graph_path, "--family", "central", "--lam", 0.1, "--p", 0.25, "--audit", dump)
+        assert run_cli(monkeypatch, *args) == 2
+        assert capsys.readouterr().out == (
+            "pack violation: [0, 1, 2, 4]\n"
+            "saturation violation: [0, 1, 2, 4]\n"
+            "audit: violations found\n"
+        )
 
 
 class TestTileExitCodes:

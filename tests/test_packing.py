@@ -304,8 +304,8 @@ def test_odometer_16_reads_about_one_neighbour_list_per_vertex(neighbor_calls, m
     contains = CentralFamily.contains
     answers = []
 
-    def counted(self, graph, cocycle, vertices):
-        answers.append(contains(self, graph, cocycle, vertices))
+    def counted(self, graph, cocycle, vertices, **kwargs):
+        answers.append(contains(self, graph, cocycle, vertices, **kwargs))
         return answers[-1]
 
     monkeypatch.setattr(CentralFamily, "contains", counted)
@@ -511,9 +511,9 @@ def test_the_complete_search_is_lazy():
     class CountingFamily(ConnectedFamily):
         calls = 0
 
-        def contains(self, graph, cocycle, vertices):
+        def contains(self, graph, cocycle, vertices, **kwargs):
             self.calls += 1
-            return super().contains(graph, cocycle, vertices)
+            return super().contains(graph, cocycle, vertices, **kwargs)
 
     n = 12
     graph, cocycle = build_graph([(u, v) for u in range(n) for v in range(u + 1, n)], [0.0] * n)
@@ -777,6 +777,103 @@ def test_admits_on_running_totals_agrees_with_contains(case, lam, min_ratio):
         checked += 1
     assert checked or not family.calls
 
+
+@st.composite
+def prepartitioned_instances(draw):
+    """A graph of small and large components with cells, a family, a budget
+    and a pack threshold. The cells are a relation's connected classes, or
+    random vertex groups inside one component each, often disconnected."""
+    graph, cocycle, values, p = draw(small_instances() | multi_component_instances())
+    if draw(st.booleans()):
+        classes = [c for c in draw_connected_classes(draw, graph).classes if len(c) > 1]
+        chosen = draw(st.sets(st.integers(0, len(classes) - 1))) if classes else set()
+        cells = [classes[i] for i in sorted(chosen)]
+    else:
+        n = graph.vertex_count
+        groups = {}
+        for v, label in enumerate(draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))):
+            if label >= 0:
+                groups.setdefault((int(graph.component_id[v]), label), []).append(v)
+        cells = [np.array(vs, dtype=np.int64) for vs in groups.values()]
+    if draw(st.booleans()):
+        family = ConnectedFamily()
+    else:
+        family = CentralFamily(values, draw(st.floats(0.05, 1.0)), draw(st.floats(1.0, 3.0)))
+    budget = draw(st.sampled_from([DEFAULT_BUDGET, *SHARED_SEARCH_BUDGETS]))
+    return graph, cocycle, family, budget, Prepartition.from_cells(cells, graph.vertex_count), p
+
+
+def full_check_search(graph, cocycle, family, budget, cells):
+    """A search whose oracle tests every candidate for connectivity."""
+    search = _Search(graph, cocycle, family, budget, cells)
+    search.connected = False
+    return search
+
+
+def certificate_key(cert):
+    if cert is None:
+        return None
+    return cert.vertices.tolist(), cert.absorbed_cells, cert.new_mass, cert.covered_mass, cert.p
+
+
+def assert_same_streams(fast, full, p):
+    """Both searches yield the same candidates at threshold p, in every
+    setting of candidates and of the complete search."""
+    for comp in range(fast.graph.component_count):
+        for max_cells in (None, 1):
+            for anchor_at_cells in (False, True):
+                for last in (False, True):
+                    args = (comp, max_cells, p, anchor_at_cells, last)
+                    got = [c.tolist() for c in fast.candidates(*args)]
+                    assert got == [c.tolist() for c in full.candidates(*args)]
+        if fast.small[comp]:
+            members = fast.graph.component_members(comp)
+            for max_cells in (None, 0, 1, 2):
+                got = [c.tolist() for c in fast._exhaustive(members, max_cells, p)]
+                assert got == [c.tolist() for c in full._exhaustive(members, max_cells, p)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(prepartitioned_instances())
+def test_the_oracle_on_totals_alone_changes_no_candidate(case):
+    """A search whose given cells are all connected tells the oracle its
+    candidates are connected. Its candidate streams and both audits equal
+    those of a search that tests connectivity, and so do its streams after
+    a packing installs cells of its own."""
+    graph, cocycle, family, budget, prepart, p = case
+    fast = _Search(graph, cocycle, family, budget, prepart.cells)
+    full = full_check_search(graph, cocycle, family, budget, prepart.cells)
+    assert fast.connected == all(is_connected_set(graph, c) for c in prepart.cells)
+    assert_same_streams(fast, full, p)
+    assert_same_streams(fast, full, 0.0)
+    assert certificate_key(audit_packed(graph, cocycle, family, prepart, p, budget)) == certificate_key(
+        full_check_search(graph, cocycle, family, budget, prepart.cells).find_pack(p)
+    )
+    assert certificate_key(audit_saturated(graph, cocycle, family, prepart, budget)) == certificate_key(
+        full_check_search(graph, cocycle, family, budget, prepart.cells).find_pack(0.0, injective=True)
+    )
+    fast.pack(p)
+    full.pack(p)
+    assert fast.freeze() == full.freeze()
+    assert_same_streams(fast, full, p)
+
+
+def test_odometer_16_labels_no_candidate(monkeypatch):
+    """odometer-16's run gives its searches no cells, so every candidate is
+    connected by construction and none of its 512 oracle calls labels the
+    candidate's induced subgraph."""
+    calls = [0]
+    is_connected = packing._is_connected_sorted
+
+    def counted(graph, U):
+        calls[0] += 1
+        return is_connected(graph, U)
+
+    monkeypatch.setattr(packing, "_is_connected_sorted", counted)
+    model = generate_model(ModelSpec("odometer", 16, p=0.4))
+    state, _ = run_tiling(model, eps=0.05, max_stages=8, raise_on_stall=False)
+    assert [part.cell_count for part in state.prepartitions] == [512]
+    assert calls[0] == 0
 
 
 @pytest.mark.parametrize("lam, min_ratio", [(float("nan"), 1.0), (-1.0, 1.0), (0.5, float("nan")), (0.5, 0.0)])
