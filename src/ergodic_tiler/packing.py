@@ -57,13 +57,20 @@ class CellFamily:
     min_ratio = 0.0
 
     def contains(self, graph, cocycle, vertices, connected=False):
-        """Whether the vertex set is in the family.
+        """Whether the vertex set is in the family: nonempty, connected and
+        passing admits_vertices.
 
         With connected set, the caller vouches that vertices is an int64
         array that is sorted, distinct, in range and connected, and the
         oracle neither coerces it nor tests its connectivity.
         """
-        raise NotImplementedError
+        v = vertices if connected else as_vertex_array(vertices, graph.vertex_count)
+        return v.size > 0 and (connected or _is_connected_sorted(graph, v)) and self.admits_vertices(cocycle, v)
+
+    def admits_vertices(self, cocycle, v):
+        """The family's test of a nonempty connected vertex array on its own
+        totals; contains applies it after the connectivity test."""
+        return True
 
     def admits(self, mass, fdot, wmax):
         """Cheap admission test from a candidate's running totals.
@@ -80,29 +87,27 @@ class CellFamily:
 class ConnectedFamily(CellFamily):
     """All nonempty connected sets."""
 
-    def contains(self, graph, cocycle, vertices, connected=False):
-        v = vertices if connected else as_vertex_array(vertices, graph.vertex_count)
-        return v.size > 0 and (connected or _is_connected_sorted(graph, v))
-
 
 class CentralFamily(CellFamily):
     """The paper's family S.
 
     U is in S iff it is connected, |sum f w| < lam * sum w and
     sum w >= min_ratio * max w, with w the vertex weights over U. admits is
-    this test on a candidate's running totals; contains is admits on U's own
-    totals, after a connectivity test unless the caller vouches for it.
+    this test on a candidate's running totals; admits_vertices is admits on
+    U's own totals.
     """
 
     def __init__(self, values, lam, min_ratio=1.0):
-        self.values = np.asarray(as_values_array(values), dtype=float)
+        self.values = as_values_array(values)
         self.lam = check_positive(lam, "lam")
         self.min_ratio = check_positive(min_ratio, "min_ratio")
 
-    def contains(self, graph, cocycle, vertices, connected=False):
-        v = vertices if connected else as_vertex_array(vertices, graph.vertex_count)
-        if v.size == 0 or not (connected or _is_connected_sorted(graph, v)):
-            return False
+    # the inherited oracle, bound in this class's own namespace so that
+    # wrapping CentralFamily.contains (tilebench's oracle span does) leaves
+    # the other families unwrapped
+    contains = CellFamily.contains
+
+    def admits_vertices(self, cocycle, v):
         lw = cocycle.log_weight[v]
         w = np.exp(lw - lw.max())
         return self.admits(w.sum(), np.dot(self.values[v], w), 1.0)
@@ -152,8 +157,8 @@ def is_p_pack(graph, cocycle, prepart, A, p):
     require_same_component(graph, A, "pack candidate")
     if not prepart.is_invariant(A):
         return None
-    anchor = float(cocycle.log_weight[A].max())
-    w = np.exp(cocycle.log_weight[A] - anchor)
+    lw = cocycle.log_weight[A]
+    w = np.exp(lw - lw.max())
     covered = prepart.cell_of[A] >= 0
     covered_mass = float(w[covered].sum())
     new_mass = float(w[~covered].sum())
@@ -264,12 +269,11 @@ class _Search:
         self._stats = {}
         self._next_id = 0
         self.dead = set()
-        self.connected = True
         for c in cells:
             # the search runs one component at a time
             require_same_component(graph, c, f"cell starting at vertex {int(c[0])}")
-            self.connected = self.connected and _is_connected_sorted(graph, c)
             self._install(c)
+        self.connected = all(_is_connected_sorted(graph, c) for c in cells)
         self.nw = cocycle.component_normalized_weights(graph)
         self.fnw = np.zeros(n) if family.values is None else self.nw * family.values
         self.head_v = memoryview(self.head)
@@ -602,8 +606,7 @@ def packed(graph, cocycle, family, p, budget=DEFAULT_BUDGET):
     the loop terminates on finite graphs. Completeness holds only on
     components within the exhaustive limit.
     """
-    if not p > 0:
-        raise ValueError("p must be positive")
+    check_positive(p, "p")
     search = _Search(graph, cocycle, family, budget)
     search.pack(p)
     return search.freeze()
@@ -630,8 +633,7 @@ def packed_and_saturated(graph, cocycle, family, p, budget=DEFAULT_BUDGET):
     finds a p-pack afterwards it is applied and the round repeats. All rounds
     run on one search.
     """
-    if not p > 0:
-        raise ValueError("p must be positive")
+    check_positive(p, "p")
     search = _Search(graph, cocycle, family, budget)
     search.pack(p / 2.0)
     for _ in range(MAX_ROUNDS):

@@ -209,7 +209,11 @@ class Prepartition:
         """One line per cell: space-separated vertex ids."""
         with open(path, "w", encoding="utf-8") as fh:
             for c in self.cells:
-                fh.write(" ".join(str(int(v)) for v in c) + "\n")
+                # 256 ids at a time, so that a cell of thousands of vertices
+                # does not hold a string per id all at once
+                for i in range(0, len(c), 256):
+                    fh.write((" " if i else "") + " ".join(map(str, c[i : i + 256].tolist())))
+                fh.write("\n")
 
     @classmethod
     def load(cls, path, n):

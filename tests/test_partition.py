@@ -189,6 +189,21 @@ class TestPrepartition:
         q = Prepartition.load(path, 6)
         assert p == q
 
+    def test_dump_of_long_cells_is_one_line_per_cell(self, tmp_path):
+        """Cells on both sides of the 256-id chunks dump writes in are
+        written as one space-separated line each, with no stray space."""
+        sizes = [1, 255, 256, 257, 512, 700]
+        cells, start = [], 0
+        for size in sizes:
+            cells.append(list(range(start + size - 1, start - 1, -1)))
+            start += size
+        p = Prepartition.from_cells(cells, start + 3)
+        path = tmp_path / "cells.txt"
+        p.dump(path)
+        expected = "".join(" ".join(str(v) for v in sorted(c)) + "\n" for c in cells)
+        assert path.read_text(encoding="utf-8") == expected
+        assert Prepartition.load(path, start + 3) == p
+
 
 class TestCoherentLimit:
     def test_constant_sequence(self):
